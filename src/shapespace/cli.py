@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--stats-csv", default=None, metavar="PATH")
     ex.add_argument("--dot", default=None, metavar="PATH",
                     help="write the transition system as DOT")
-    ex.add_argument("--seedless", action="store_true",
-                    help="accepted for interface compatibility; runs are "
-                         "always deterministic")
 
     ab = sub.add_parser("abstract", help="print the start graph's shape as DOT")
     ab.add_argument("grammar")

@@ -18,10 +18,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import Graph, certificate as graph_certificate, find_isomorphism
-from .rules import (ApplyInfeasible, Rule, apply, concrete_apply,
-                    concrete_matches, materialise, normalise, prematch)
-from .shapes import (Shape, abstract, compare_shapes, shape_certificate,
-                     strict_shape_certificate, strictly_isomorphic)
+from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
+                    materialise, normalise, prematch)
+from .shapes import (Shape, ShapeError, abstract, compare_shapes,
+                     shape_certificate, strict_shape_certificate)
 
 
 class ExploreError(ValueError):
@@ -159,7 +159,11 @@ class AbstractEngine:
         out = []
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
-                for mat in materialise(rule, m, s):
+                try:
+                    mats = materialise(rule, m, s)
+                except ShapeError as exc:
+                    raise ExploreError(f"rule {rule.name!r}: {exc}") from None
+                for mat in mats:
                     try:
                         t = apply(rule, mat)
                     except ApplyInfeasible:
@@ -231,18 +235,6 @@ class _Store:
             bucket.remove(j)
             self.newly_marked.append(j)
         return True, i
-
-
-def is_fresh_iso(state, store: _Store, ts: TransitionSystem) -> bool:
-    """Strict-isomorphism freshness against a certificate bucket."""
-    bucket = store.buckets.get(store.engine.certificate(state), ())
-    return not any(all(store.engine.compare(state, ts.states[i])) for i in bucket)
-
-
-def is_fresh_subsumption(state, store: _Store, ts: TransitionSystem) -> bool:
-    """Subsumption freshness: false iff some stored state subsumes it."""
-    bucket = store.buckets.get(store.engine.certificate(state), ())
-    return not any(store.engine.compare(state, ts.states[i])[0] for i in bucket)
 
 
 # --- the loop -------------------------------------------------------------

@@ -4,12 +4,20 @@ Node labels are encoded as self-loops carrying unary labels; there is no
 separate label field.  Node ids are opaque integers local to each graph:
 equality of graphs is structural under identical ids, isomorphism is the
 semantic equality.
+
+Each graph derives two views from its edges the first time they are
+used, and keeps them: ``labels`` (node -> unary label set) and
+``colours`` (node -> refined colour).  One backtracking search,
+``morphisms``, serves rule matching, negative conditions and
+isomorphism.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 
@@ -47,6 +55,10 @@ def binary(text: str) -> Label:
 # An edge is a triple (source id, Label, target id).
 Edge = tuple[int, Label, int]
 
+# Every distinct unary label set, once: the ``labels`` views of all
+# graphs share these.
+_LABEL_SETS = {}
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -60,12 +72,29 @@ class Graph:
             if l.is_unary and v != w:
                 raise GraphError(f"unary label {l.text} on non-loop edge ({v},{w})")
 
+    @cached_property
+    def labels(self) -> dict:
+        """Node -> unary label set; equal sets are shared between graphs."""
+        found = {v: [] for v in self.nodes}
+        for (v, l, _) in self.edges:
+            if l.is_unary:
+                found[v].append(l)
+        labels = {}
+        for v, ls in found.items():
+            key = frozenset(ls)
+            labels[v] = _LABEL_SETS.setdefault(key, key)
+        return labels
+
+    @cached_property
+    def colours(self) -> dict:
+        """Node -> refined colour (see ``_refined_colours``)."""
+        return _refined_colours(self)
+
     def node_labels(self, v) -> frozenset:
         """Unary labels carried by node ``v`` (its self-loops)."""
         if v not in self.nodes:
             raise GraphError(f"unknown node id {v}")
-        return frozenset(l for (s, l, t) in self.edges
-                         if s == v and t == v and l.is_unary)
+        return self.labels[v]
 
     def out_edges(self, v, l: Label, c) -> frozenset:
         """Outgoing ``l``-edges from ``v`` into nodes of ``c``."""
@@ -151,80 +180,95 @@ def _digest(text: str) -> str:
 
 
 def _refined_colours(g: Graph, rounds: int = _REFINEMENT_ROUNDS) -> dict:
-    colour = {v: _digest("lab:" + ",".join(sorted(l.text for l in g.node_labels(v))))
+    out = {v: [] for v in g.nodes}
+    into = {v: [] for v in g.nodes}
+    for (v, l, w) in g.edges:
+        if not l.is_unary:
+            out[v].append((l.text, w))
+            into[w].append((l.text, v))
+    colour = {v: _digest("lab:" + ",".join(sorted(l.text for l in g.labels[v])))
               for v in g.nodes}
-    bin_edges = g.binary_edges()
     for _ in range(rounds):
-        new = {}
-        for v in g.nodes:
-            around = sorted(f"o:{l.text}:{colour[w]}" for (s, l, w) in bin_edges if s == v)
-            around += sorted(f"i:{l.text}:{colour[s]}" for (s, l, w) in bin_edges if w == v)
-            new[v] = _digest(colour[v] + "|" + ";".join(around))
-        colour = new
-    return colour
+        colour = {v: _digest(colour[v] + "|" + ";".join(
+                      sorted(f"o:{t}:{colour[w]}" for t, w in out[v])
+                      + sorted(f"i:{t}:{colour[w]}" for t, w in into[v])))
+                  for v in g.nodes}
+    return {v: sys.intern(c) for v, c in colour.items()}
 
 
 def certificate(g: Graph) -> str:
     """Deterministic, renaming-invariant hash; isomorphic graphs collide."""
-    colours = sorted(_refined_colours(g).values())
+    colours = sorted(g.colours.values())
     return _digest(f"n={len(g.nodes)};e={len(g.edges)};" + ",".join(colours))
 
 
-# --- isomorphism search ---------------------------------------------------
+# --- morphism and isomorphism search --------------------------------------
 
 
-def _pair_labels(g: Graph):
-    pairs = {}
-    for (v, l, w) in g.edges:
-        pairs.setdefault((v, w), set()).add(l)
-    return pairs
+def morphisms(pattern: Graph, host: Graph, injective: bool,
+              base: dict | None = None, avoid=(), candidates: dict | None = None):
+    """All label/structure-preserving node maps of ``pattern`` into ``host``.
+
+    ``base`` pins a partial assignment; ``avoid`` blocks host nodes as
+    images for the unpinned pattern nodes; ``candidates`` lists, per
+    unpinned pattern node, its possible images in search order (every
+    host node by default).  Nodes with fewer candidates are placed
+    first, and each pattern edge is checked as soon as both of its
+    ends are placed.
+    """
+    mapping = dict(base or {})
+    if candidates is None:
+        every = sorted(host.nodes)
+        candidates = {v: every for v in pattern.nodes}
+    free = sorted((v for v in pattern.nodes if v not in mapping),
+                  key=lambda v: (len(candidates[v]), v))
+    rank = {v: i for i, v in enumerate(free, 1)}
+    checks = [[] for _ in range(len(free) + 1)]
+    for (v, l, w) in pattern.edges:
+        checks[max(rank.get(v, 0), rank.get(w, 0))].append((v, l, w))
+    edges = host.edges
+    used = set(mapping.values()) if injective else set()
+
+    def placed(i):
+        return all((mapping[v], l, mapping[w]) in edges for (v, l, w) in checks[i])
+
+    def extend(i):
+        if i == len(free):
+            yield dict(mapping)
+            return
+        v = free[i]
+        for x in candidates[v]:
+            if x in avoid or x in used:
+                continue
+            mapping[v] = x
+            if placed(i + 1):
+                if injective:
+                    used.add(x)
+                yield from extend(i + 1)
+                used.discard(x)
+        mapping.pop(v, None)
+
+    if placed(0):
+        yield from extend(0)
 
 
 def isomorphisms(g: Graph, h: Graph):
     """Yield every node bijection preserving edges in both directions.
 
-    The search is seeded by refined-colour partitions: only same-colour
-    nodes are candidate images.
+    Only same-colour nodes are candidate images.  With equal node and
+    edge counts, an injective edge-preserving map is a bijection on
+    nodes and on edges, so its inverse preserves edges too.
     """
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return
-    cg = _refined_colours(g)
-    ch = _refined_colours(h)
+    cg, ch = g.colours, h.colours
     if sorted(cg.values()) != sorted(ch.values()):
         return
     by_colour = {}
     for w in sorted(h.nodes):
         by_colour.setdefault(ch[w], []).append(w)
-    order = sorted(g.nodes, key=lambda v: (len(by_colour.get(cg[v], ())), v))
-    gp = _pair_labels(g)
-    hp = _pair_labels(h)
-    mapping = {}
-    used = set()
-
-    def compatible(v, w):
-        for u, x in mapping.items():
-            for (a, b), (c, d) in (((v, u), (w, x)), ((u, v), (x, w))):
-                if gp.get((a, b), set()) != hp.get((c, d), set()):
-                    return False
-        if gp.get((v, v), set()) != hp.get((w, w), set()):
-            return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            yield dict(mapping)
-            return
-        v = order[i]
-        for w in by_colour.get(cg[v], ()):
-            if w in used or not compatible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            yield from extend(i + 1)
-            del mapping[v]
-            used.discard(w)
-
-    yield from extend(0)
+    yield from morphisms(g, h, True,
+                         candidates={v: by_colour[cg[v]] for v in g.nodes})
 
 
 def find_isomorphism(g: Graph, h: Graph):

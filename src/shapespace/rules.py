@@ -16,11 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, Morphism, graph
+from .graphs import Graph, Morphism, graph, morphisms
 from . import multiplicity as mult
-from .multiplicity import (Multiplicity, add, approx_card, bounded, OMEGA,
-                           positive_part, subtract_one)
-from .shapes import Shape, ShapeError, label_partition
+from .multiplicity import (Multiplicity, add, bounded, OMEGA, positive_part,
+                           subtract_one)
+from .shapes import Shape, ShapeError
 
 READER = "reader"
 ERASER = "eraser"
@@ -75,8 +75,9 @@ class Rule:
                 raise RuleError(f"embargo edge must attach to reader nodes in {self.name}")
             if role == READER and not ends <= {READER}:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
-        self.lhs()  # well-formedness
-        self.rhs_elements()
+        self._lhs = graph(self.nodes_with(READER, ERASER),
+                          ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
+        self.rhs_elements()  # well-formedness
 
     def nodes_with(self, *roles):
         return sorted(v for v, r in self.node_roles.items() if r in roles)
@@ -85,8 +86,7 @@ class Rule:
         return [e for e in self.edges if e[3] in roles]
 
     def lhs(self) -> Graph:
-        return graph(self.nodes_with(READER, ERASER),
-                     ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
+        return self._lhs
 
     def rhs_elements(self):
         return (self.nodes_with(READER, CREATOR),
@@ -105,56 +105,6 @@ class Materialisation:
     match: Morphism
 
 
-# --- generic morphism search ---------------------------------------------
-
-
-def graph_morphisms(pattern: Graph, host: Graph, injective: bool,
-                    base: dict | None = None, avoid=()):
-    """All label/structure-preserving node maps of ``pattern`` into ``host``.
-
-    ``base`` pins a partial assignment; ``avoid`` blocks host nodes as
-    images for the unpinned pattern nodes.
-    """
-    base = dict(base or {})
-    free = [v for v in sorted(pattern.nodes) if v not in base]
-    host_nodes = sorted(host.nodes)
-    pair = {}
-    for (v, l, w) in pattern.edges:
-        pair.setdefault((v, w), set()).add(l)
-    mapping = dict(base)
-
-    def ok(v, x):
-        for (a, b), ls in pair.items():
-            if a == v and b in mapping:
-                if any((x, l, mapping[b]) not in host.edges for l in ls):
-                    return False
-            if b == v and a in mapping:
-                if any((mapping[a], l, x) not in host.edges for l in ls):
-                    return False
-            if a == v and b == v:
-                if any((x, l, x) not in host.edges for l in ls):
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(free):
-            yield dict(mapping)
-            return
-        v = free[i]
-        for x in host_nodes:
-            if x in avoid:
-                continue
-            if injective and x in mapping.values():
-                continue
-            if not ok(v, x):
-                continue
-            mapping[v] = x
-            yield from extend(i + 1)
-            del mapping[v]
-
-    yield from extend(0)
-
-
 # --- concrete engine ------------------------------------------------------
 
 
@@ -169,16 +119,15 @@ def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
     base = {v: m[v] for v in involved if rule.node_roles[v] == READER}
     pattern = graph(involved, ((v, l, w) for (v, l, w, _) in emb_edges))
     avoid = set(m.values()) - set(base.values())
-    for _ in graph_morphisms(pattern, g, injective=True, base=base, avoid=avoid):
+    for _ in morphisms(pattern, g, injective=True, base=base, avoid=avoid):
         return True
     return False
 
 
 def concrete_matches(rule: Rule, g: Graph):
     """Injective matches of the rule's LHS in ``g``, NACs respected."""
-    lhs = rule.lhs()
     out = []
-    for m in graph_morphisms(lhs, g, injective=True):
+    for m in morphisms(rule.lhs(), g, injective=True):
         if not _nac_blocked(rule, m, g):
             out.append(Morphism(m))
     out.sort(key=lambda m: m.as_tuple())
@@ -212,7 +161,7 @@ def prematch(rule: Rule, s: Shape):
     whose shared images remain multiplicity-feasible."""
     lhs = rule.lhs()
     out = []
-    for m in graph_morphisms(lhs, s.graph, injective=False):
+    for m in morphisms(lhs, s.graph, injective=False):
         if _prematch_feasible(lhs, m, s):
             out.append(Morphism(m))
     out.sort(key=lambda m: m.as_tuple())
@@ -392,7 +341,8 @@ def _materialise_combo(lhs, phi, s, assign, parts, rem, rem_id):
         if built is not None:
             out.append(Materialisation(built, Morphism(dict(assign))))
         if len(out) > MAX_BRANCHES:
-            raise ShapeError("materialisation branch explosion")
+            raise ShapeError("materialisation branch explosion "
+                             f"(over {MAX_BRANCHES} branches)")
     return out
 
 
@@ -540,22 +490,18 @@ def _assemble(s, labels, node_mult, parts, parts_of, part_set,
 
     # Untouched nodes keep their slots; entries survive only while they
     # still have at least one support edge.
-    for (v, l, key), mu in s.out_mult.items():
-        if v in parts:
-            continue
-        if any(e[0] == v and e[1] == l and labels[e[2]] == key for e in edges
-               if not e[1].is_unary):
-            out_m[(v, l, key)] = mu
-        elif mu.lo > 0:
-            return None
-    for (v, l, key), mu in s.in_mult.items():
-        if v in parts:
-            continue
-        if any(e[2] == v and e[1] == l and labels[e[0]] == key for e in edges
-               if not e[1].is_unary):
-            in_m[(v, l, key)] = mu
-        elif mu.lo > 0:
-            return None
+    binary = [(v, l, w) for (v, l, w) in edges if not l.is_unary]
+    out_support = {(v, l, labels[w]) for (v, l, w) in binary}
+    in_support = {(w, l, labels[v]) for (v, l, w) in binary}
+    for table, support, kept in ((s.out_mult, out_support, out_m),
+                                 (s.in_mult, in_support, in_m)):
+        for slot, mu in table.items():
+            if slot[0] in parts:
+                continue
+            if slot in support:
+                kept[slot] = mu
+            elif mu.lo > 0:
+                return None
 
     shape = Shape(graph(node_mult, edges), dict(node_mult), out_m, in_m)
     try:
@@ -676,17 +622,14 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         slot_inc(in_m, y, l, labels[x])
 
     # 6. reconcile slots with the surviving edge support
-    def has_support(v, l, key, direction):
-        if direction == "out":
-            return any(e[0] == v and e[1] == l and labels[e[2]] == key for e in edges)
-        return any(e[2] == v and e[1] == l and labels[e[0]] == key for e in edges)
-
-    for table, direction in ((out_m, "out"), (in_m, "in")):
-        for (v, l, key) in list(table):
-            if not has_support(v, l, key, direction):
-                if table[(v, l, key)].lo > 0:
-                    raise ApplyInfeasible(f"slot without support at node {v}")
-                table.pop((v, l, key))
+    out_support = {(v, l, labels[w]) for (v, l, w) in edges}
+    in_support = {(w, l, labels[v]) for (v, l, w) in edges}
+    for table, support in ((out_m, out_support), (in_m, in_support)):
+        for slot in list(table):
+            if slot not in support:
+                if table[slot].lo > 0:
+                    raise ApplyInfeasible(f"slot without support at node {slot[0]}")
+                table.pop(slot)
     for (v, l, w) in edges:
         if (v, l, labels[w]) not in out_m:
             out_m[(v, l, labels[w])] = bounded(1, OMEGA)

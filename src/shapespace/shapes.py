@@ -10,9 +10,10 @@ keyed by ``(node, binary label, label set of the target block)``.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, Morphism, certificate, graph, isomorphisms
+from .graphs import Graph, Morphism, certificate, graph, isomorphisms
 from . import multiplicity as mult
 from .multiplicity import Multiplicity, approx_card, subsumes
 
@@ -30,19 +31,15 @@ def label_partition(g: Graph):
                         key=lambda b: sorted(b)))
 
 
-def _binary_labels(g: Graph):
-    return sorted({e[1] for e in g.binary_edges()}, key=lambda l: l.text)
-
-
-def _signature(g: Graph, v, level0):
-    sig = []
-    for l in _binary_labels(g):
-        for c in level0:
-            out_n = len(g.out_edges(v, l, c))
-            in_n = len(g.in_edges(v, l, c))
-            if out_n or in_n:
-                sig.append((l.text, sorted(c)[0], approx_card(out_n), approx_card(in_n)))
-    return tuple(sig)
+def _edge_counts(g: Graph) -> dict:
+    """Node -> edge counts keyed by (binary label, label set at the
+    other end, "out" or "in")."""
+    counts = {v: Counter() for v in g.nodes}
+    for (v, l, w) in g.edges:
+        if not l.is_unary:
+            counts[v][l, g.labels[w], "out"] += 1
+            counts[w][l, g.labels[v], "in"] += 1
+    return counts
 
 
 def neighbourhood_partition(g: Graph):
@@ -51,14 +48,14 @@ def neighbourhood_partition(g: Graph):
     Radius 1 refines radius 0 by equality of the per-block approximated
     in/out edge counts, for every binary label and every radius-0 block.
     """
-    level0 = label_partition(g)
+    counts = _edge_counts(g)
     refined = {}
-    for block in level0:
-        for v in block:
-            refined.setdefault((block, _signature(g, v, level0)), set()).add(v)
+    for v in g.nodes:
+        signature = frozenset((slot, approx_card(n)) for slot, n in counts[v].items())
+        refined.setdefault((g.labels[v], signature), set()).add(v)
     level1 = tuple(sorted((frozenset(b) for b in refined.values()),
                           key=lambda b: sorted(b)))
-    return level0, level1
+    return label_partition(g), level1
 
 
 @dataclass
@@ -78,18 +75,8 @@ class Shape:
     def class_key(self, v) -> frozenset:
         return self.graph.node_labels(v)
 
-    def members(self, key: frozenset) -> frozenset:
-        return frozenset(v for v in self.graph.nodes if self.class_key(v) == key)
-
-    def similarity(self):
-        """The similarity partition as a tuple of blocks."""
-        return label_partition(self.graph)
-
     def is_concrete(self, v) -> bool:
         return self.node_mult[v].is_concrete
-
-    def collectors(self):
-        return sorted(v for v in self.graph.nodes if not self.is_concrete(v))
 
     def out_multiplicity(self, v, l, block) -> Multiplicity:
         """Multiplicity of outgoing ``l``-edges from ``v`` into ``block``.
@@ -118,24 +105,23 @@ class Shape:
         for v, m in self.node_mult.items():
             if m == mult.ZERO:
                 raise ShapeError(f"zero-population node {v} present")
+        out_support, in_support = set(), set()
         for (v, l, w) in g.binary_edges():
-            if (v, l, self.class_key(w)) not in self.out_mult:
-                raise ShapeError(f"edge ({v},{l},{w}) lacks an outgoing multiplicity")
-            if (w, l, self.class_key(v)) not in self.in_mult:
-                raise ShapeError(f"edge ({v},{l},{w}) lacks an incoming multiplicity")
+            out_support.add((v, l, self.class_key(w)))
+            in_support.add((w, l, self.class_key(v)))
+        if not out_support <= self.out_mult.keys():
+            raise ShapeError("an edge lacks an outgoing multiplicity")
+        if not in_support <= self.in_mult.keys():
+            raise ShapeError("an edge lacks an incoming multiplicity")
         for (v, l, key), m in list(self.out_mult.items()) + list(self.in_mult.items()):
             if v not in g.nodes:
                 raise ShapeError(f"multiplicity entry for unknown node {v}")
             if m == mult.ZERO:
                 raise ShapeError(f"zero multiplicity stored for ({v},{l},{set(key)})")
-        for (v, l, key) in self.out_mult:
-            if not any(e[0] == v and e[1] == l and self.class_key(e[2]) == key
-                       for e in g.binary_edges()):
-                raise ShapeError(f"outgoing multiplicity ({v},{l}) without support edge")
-        for (v, l, key) in self.in_mult:
-            if not any(e[2] == v and e[1] == l and self.class_key(e[0]) == key
-                       for e in g.binary_edges()):
-                raise ShapeError(f"incoming multiplicity ({v},{l}) without support edge")
+        if not self.out_mult.keys() <= out_support:
+            raise ShapeError("an outgoing multiplicity lacks a support edge")
+        if not self.in_mult.keys() <= in_support:
+            raise ShapeError("an incoming multiplicity lacks a support edge")
 
     def __repr__(self):
         return (f"Shape({len(self.graph.nodes)} nodes, "
@@ -144,39 +130,20 @@ class Shape:
 
 def abstract(g: Graph) -> Shape:
     """Fold the radius-1 equivalence classes of ``g`` into a shape."""
-    level0, level1 = neighbourhood_partition(g)
-    block_id = {}
-    for i, block in enumerate(level1):
-        block_id[block] = i
-    node_of = {}
-    for block, i in block_id.items():
-        for v in block:
-            node_of[v] = i
+    _, level1 = neighbourhood_partition(g)
+    counts = _edge_counts(g)
+    node_of = {v: i for i, block in enumerate(level1) for v in block}
 
-    nodes = set(block_id.values())
-    edges = set()
-    for block, i in block_id.items():
-        rep = sorted(block)[0]
-        for l in g.node_labels(rep):
-            edges.add((i, l, i))
-    for (v, l, w) in g.binary_edges():
-        edges.add((node_of[v], l, node_of[w]))
-
-    node_mult = {i: approx_card(len(block)) for block, i in block_id.items()}
+    edges = {(node_of[v], l, node_of[w]) for (v, l, w) in g.edges}
+    node_mult = {}
     out_mult = {}
     in_mult = {}
-    for block, i in block_id.items():
-        rep = sorted(block)[0]
-        for l in _binary_labels(g):
-            for c in level0:
-                key = g.node_labels(sorted(c)[0])
-                n_out = len(g.out_edges(rep, l, c))
-                if n_out:
-                    out_mult[(i, l, key)] = approx_card(n_out)
-                n_in = len(g.in_edges(rep, l, c))
-                if n_in:
-                    in_mult[(i, l, key)] = approx_card(n_in)
-    return Shape(graph(nodes, edges), node_mult, out_mult, in_mult)
+    for i, block in enumerate(level1):
+        node_mult[i] = approx_card(len(block))
+        for (l, key, direction), n in counts[min(block)].items():
+            table = out_mult if direction == "out" else in_mult
+            table[(i, l, key)] = approx_card(n)
+    return Shape(graph(node_mult, edges), node_mult, out_mult, in_mult)
 
 
 # --- comparison -----------------------------------------------------------

@@ -75,8 +75,12 @@ def test_explore_dot_output(tmp_path):
     assert text.startswith("digraph") and "add" in text
 
 
-def test_explore_seedless_flag_accepted():
-    assert cli_main(["explore", gg("counter"), "--seedless"]) == 0
+def test_materialisation_branch_cap_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 0)
+    assert cli_main(["explore", "counter"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "'add'" in err[0] and "branch" in err[0]
 
 
 def test_bad_flag_usage_exits_1():

@@ -1,5 +1,6 @@
 """Graphs, morphisms, certificates and isomorphism search."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from shapespace import (Graph, GraphError, Morphism, binary, certificate,
                         find_isomorphism, graph, is_morphism, isomorphisms,
                         unary)
-from shapespace.graphs import brute_force_isomorphism
+from shapespace.graphs import brute_force_isomorphism, morphisms
 
 from conftest import BINARY, UNARY, permuted, random_graph
 
@@ -51,6 +52,38 @@ def test_morphism_checks():
     assert is_morphism(m, g, h)
     assert not is_morphism(Morphism({0: 6, 1: 5}), g, h)
     assert m.inverse()(5) == 0
+
+
+def brute_force_morphisms(pattern, host, injective, base, avoid):
+    """Oracle: every total node map, filtered by the search's conditions."""
+    ps = sorted(pattern.nodes)
+    found = []
+    for images in itertools.product(sorted(host.nodes), repeat=len(ps)):
+        m = dict(zip(ps, images))
+        if (is_morphism(Morphism(m), pattern, host)
+                and (not injective or len(set(images)) == len(images))
+                and all(m[v] == x for v, x in base.items())
+                and not any(m[v] in avoid for v in ps if v not in base)):
+            found.append(tuple(sorted(m.items())))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("injective", [True, False])
+def test_morphisms_agree_with_brute_force(injective):
+    rng = random.Random(20261017)
+    nonempty = 0
+    for _ in range(300):
+        pattern = random_graph(rng, max_nodes=4, edge_prob=0.2)
+        host = random_graph(rng, max_nodes=5, edge_prob=0.5)
+        pinned = rng.sample(sorted(pattern.nodes),
+                            rng.randint(0, min(len(pattern.nodes), len(host.nodes))))
+        base = dict(zip(pinned, rng.sample(sorted(host.nodes), len(pinned))))
+        avoid = set(rng.sample(sorted(host.nodes), rng.randint(0, len(host.nodes))))
+        fast = sorted(tuple(sorted(m.items()))
+                      for m in morphisms(pattern, host, injective, base, avoid))
+        assert fast == brute_force_morphisms(pattern, host, injective, base, avoid)
+        nonempty += bool(fast)
+    assert nonempty >= 30
 
 
 # --- certificates ---------------------------------------------------------
