@@ -6,14 +6,18 @@ embargo elements form a negative application condition (concrete
 engine only).  The abstract pipeline is prematch / materialise /
 apply / normalise; the concrete pipeline is match / apply.
 
+Materialisation builds only valid, pairwise distinct branches; the
+tests assert both, with ``Shape.validate`` and equality.  Normalisation
+merges same-signature nodes in a single pass.
+
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .graphs import Graph, Morphism, graph, morphisms
@@ -77,7 +81,6 @@ class Rule:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
         self._lhs = graph(self.nodes_with(READER, ERASER),
                           ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
-        self.rhs_elements()  # well-formedness
 
     def nodes_with(self, *roles):
         return sorted(v for v, r in self.node_roles.items() if r in roles)
@@ -87,10 +90,6 @@ class Rule:
 
     def lhs(self) -> Graph:
         return self._lhs
-
-    def rhs_elements(self):
-        return (self.nodes_with(READER, CREATOR),
-                [(v, l, w) for (v, l, w, _) in self.edges_with(READER, CREATOR)])
 
     @property
     def has_nac(self) -> bool:
@@ -191,11 +190,197 @@ def _prematch_feasible(lhs: Graph, m: dict, s: Shape) -> bool:
 # --- abstract engine: materialise ----------------------------------------
 
 
+def materialise(rule: Rule, m: Morphism, s: Shape):
+    """Pull concrete copies of the match image out of collector elements.
+
+    Each non-concrete node in the image is split into one concrete part
+    per LHS node mapped onto it, plus a remainder.  The branches range
+    over (a) whether each remainder is present and (b) how the unmatched
+    adjacency of the split-off nodes distributes, so that every
+    concretisation of ``s`` in which ``m`` extends to an injective
+    concrete match is covered by some returned branch.
+
+    Every branch is built valid and no two are equal.  They come in
+    ``itertools.product`` order over the remainder choices of the split
+    nodes (in node order), then in depth-first order of slot choices.
+    """
+    lhs = rule.lhs()
+    phi = m.node_map
+    groups = {}
+    for a in sorted(lhs.nodes):
+        groups.setdefault(phi[a], []).append(a)
+    if any(len(grp) > s.node_mult[u].max_count for u, grp in groups.items()):
+        return []
+    split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
+
+    fresh = itertools.count(max(s.graph.nodes, default=-1) + 1)
+    parts = {}       # split node -> (concrete parts, remainder id)
+    assign = {}
+    for u in split:
+        parts[u] = [next(fresh) for _ in groups[u]], next(fresh)
+        assign.update(zip(groups[u], parts[u][0]))
+    for u, grp in groups.items():
+        if u not in parts:
+            assign[grp[0]] = u
+    match = Morphism(assign)
+
+    remainders = []  # per split node: None (no remainder) or its multiplicity
+    for u in split:
+        mu, k = s.node_mult[u], len(groups[u])
+        lo, hi = max(mu.lo - k, 0), mu.hi - k
+        remainders.append(([None] if lo == 0 else [])
+                          + ([positive_part(bounded(lo, hi))] if hi >= 1 else []))
+
+    # Slots are (node, direction, binary label, label set at the other end).
+    pinned = {}      # slot of a part -> matched neighbours it must keep
+    for (x, l, y) in lhs.binary_edges():
+        pinned.setdefault((assign[x], "out", l, s.class_key(phi[y])), set()).add(assign[y])
+        pinned.setdefault((assign[y], "in", l, s.class_key(phi[x])), set()).add(assign[x])
+    neighbours = {}  # slot of ``s`` -> nodes at the other end of its edges
+    for (v, l, w) in s.graph.binary_edges():
+        neighbours.setdefault((v, "out", l, s.class_key(w)), []).append(w)
+        neighbours.setdefault((w, "in", l, s.class_key(v)), []).append(v)
+    own = {u: [] for u in split}   # split node -> its slots, in slot order
+    untouched = []                 # the other nodes' slots
+    for d, table in (("out", s.out_mult), ("in", s.in_mult)):
+        for slot, mu in sorted(table.items(), key=_slot_order):
+            if slot[0] in own:
+                own[slot[0]].append((d, slot[1], slot[2], mu))
+        untouched.extend((d, slot, mu) for slot, mu in table.items()
+                         if slot[0] not in own)
+    kept = [e for e in s.graph.binary_edges()
+            if e[0] not in parts and e[2] not in parts]
+
+    out = []
+    for combo in itertools.product(*remainders):
+        for shape in _branches(s, parts, dict(zip(split, combo)), own, pinned,
+                               neighbours, untouched, kept):
+            out.append(Materialisation(shape, match))
+            if len(out) > MAX_BRANCHES:
+                raise ShapeError("materialisation branch explosion "
+                                 f"(over {MAX_BRANCHES} branches)")
+    return out
+
+
+def _slot_order(item):
+    (v, l, key), _ = item
+    return v, l.text, sorted(x.text for x in key)
+
+
+def _branches(s, parts, rem, own, pinned, neighbours, untouched, kept):
+    """The branches for one choice of remainders, depth first."""
+    node_mult, labels, members = {}, {}, {}
+    for x in sorted(s.graph.nodes):
+        if x in parts:
+            ps, r = parts[x]
+            node_mult.update((p, mult.ONE) for p in ps)
+            members[x] = list(ps)
+            if rem[x] is not None:
+                node_mult[r] = rem[x]
+                members[x].append(r)
+        else:
+            node_mult[x] = s.node_mult[x]
+            members[x] = [x]
+        labels.update((p, s.class_key(x)) for p in members[x])
+
+    axes = []        # (part, direction, label, key, options)
+    for u, slots in own.items():
+        for p in members[u]:
+            for (d, l, key, mu) in slots:
+                fixed = frozenset(pinned.get((p, d, l, key), ()))
+                universe = {y for w in neighbours.get((u, d, l, key), ())
+                            for y in members[w]}
+                options = _slot_options(mu, fixed, sorted(universe - fixed),
+                                        p == parts[u][1], node_mult)
+                if not options:
+                    return
+                axes.append((p, d, l, key, options))
+
+    loops = {(x, l, x) for x, key in labels.items() for l in key}
+    for choice in _consistent_choices(axes, labels, [p for u in own for p in members[u]]):
+        tables = {"out": {}, "in": {}}
+        edges = set(kept)
+        for (p, d, l, key, _), (val, support) in zip(axes, choice):
+            if val is not None:
+                tables[d][p, l, key] = val
+            edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
+        # Untouched nodes keep their slots; entries survive only while
+        # they still have at least one support edge.
+        supported = {("out", v, l, labels[w]) for (v, l, w) in edges}
+        supported.update(("in", w, l, labels[v]) for (v, l, w) in edges)
+        if any(mu.lo > 0 and (d, *slot) not in supported for d, slot, mu in untouched):
+            continue
+        for d, slot, mu in untouched:
+            if (d, *slot) in supported:
+                tables[d][slot] = mu
+        yield Shape(graph(node_mult, edges | loops), dict(node_mult),
+                    tables["out"], tables["in"])
+
+
+def _consistent_choices(axes, labels, new_nodes):
+    """Depth-first assignment of slot options.
+
+    An edge between two split-off nodes is demanded by the out-slot of
+    one and the reciprocal in-slot of the other; an option is taken only
+    if it agrees with the reciprocal slots assigned before it.  (A node a
+    slot may name is a member of an original neighbour, so in a valid
+    shape its reciprocal slot exists.)
+    """
+    index = {axis[:4]: i for i, axis in enumerate(axes)}
+    links = []       # per axis: (split-off node, its earlier reciprocal axis)
+    for i, (p, d, l, key, _) in enumerate(axes):
+        back = "in" if d == "out" else "out"
+        earlier = ((q, index.get((q, back, l, labels[p])))
+                   for q in new_nodes if labels[q] == key)
+        links.append([(q, j) for q, j in earlier if j is not None and j < i])
+
+    chosen = [None] * len(axes)
+
+    def extend(i):
+        if i == len(axes):
+            yield tuple(chosen)
+            return
+        p = axes[i][0]
+        for option in axes[i][4]:
+            if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
+                continue
+            chosen[i] = option
+            yield from extend(i + 1)
+
+    yield from extend(0)
+
+
+def _slot_options(mu, fixed, extras, is_rem, node_mult):
+    """(value, support) branches for one slot of a split-off node.
+
+    ``fixed`` holds the matched neighbours the slot keeps, ``extras`` the
+    other candidates.  A remainder keeps the collector's value; a
+    concrete part takes each approximation class its support can reach.
+    A value of None stands for an empty slot.
+    """
+    if is_rem:
+        return ([(None, frozenset())] if mu.lo == 0 else []) \
+            + [(mu, extra) for extra in _subsets(extras) if extra]
+    t = len(fixed)
+    if t > mu.max_count:
+        return []
+    options = []
+    for val in _value_options(mu, t):
+        if val == mult.ZERO:
+            options.append((None, frozenset()))
+            continue
+        for extra in _subsets(extras):
+            upper = t + sum(node_mult[w].max_count for w in extra)
+            if (fixed or extra) and val.lo <= upper and val.hi >= t + len(extra):
+                options.append((val, fixed | extra))
+    return options
+
+
 def _value_options(mu: Multiplicity, at_least: int):
     """Approximation classes of the naturals in ``mu`` that are >= at_least."""
     lo = max(mu.lo, at_least)
     opts = []
-    if lo == 0 and mu.hi >= 0:
+    if lo == 0:
         opts.append(mult.ZERO)
     if lo <= 1 <= mu.hi:
         opts.append(mult.ONE)
@@ -204,311 +389,10 @@ def _value_options(mu: Multiplicity, at_least: int):
     return opts
 
 
-def _subsets(items, limit=None):
-    items = sorted(items)
+def _subsets(items):
+    """All subsets of the sorted ``items``, smallest first."""
     for r in range(len(items) + 1):
-        if limit is not None and r > limit:
-            return
         yield from (frozenset(c) for c in itertools.combinations(items, r))
-
-
-def materialise(rule: Rule, m: Morphism, s: Shape):
-    """Pull concrete copies of the match image out of collector elements.
-
-    Branches over (a) whether a drained collector keeps a remainder and
-    (b) how the unmatched adjacency of the split-off nodes distributes,
-    so that every concretisation of ``s`` in which ``m`` extends to an
-    injective concrete match is covered by some returned branch.
-    """
-    lhs = rule.lhs()
-    phi = m.node_map
-    groups = {}
-    for a in sorted(lhs.nodes):
-        groups.setdefault(phi[a], []).append(a)
-    for u, grp in groups.items():
-        if len(grp) > s.node_mult[u].max_count:
-            return []
-    split = {u: grp for u, grp in sorted(groups.items())
-             if not s.node_mult[u].is_concrete}
-
-    fresh = itertools.count(max(s.graph.nodes, default=-1) + 1)
-    assign = {}
-    parts = {}
-    rem_id = {}
-    for u in sorted(split):
-        parts[u] = [next(fresh) for _ in split[u]]
-        for a, i in zip(split[u], parts[u]):
-            assign[a] = i
-        rem_id[u] = next(fresh)
-    for u, grp in groups.items():
-        if u not in split:
-            assign[grp[0]] = u
-
-    rem_options = {}
-    for u in sorted(split):
-        k = len(split[u])
-        mu = s.node_mult[u]
-        lo = max(mu.lo - k, 0)
-        hi = mu.hi if math.isinf(mu.hi) else mu.hi - k
-        opts = []
-        if lo == 0:
-            opts.append((False, None))
-        if hi >= 1:
-            opts.append((True, positive_part(bounded(lo, hi))))
-        rem_options[u] = opts
-
-    results = []
-    order = sorted(split)
-    for combo in itertools.product(*(rem_options[u] for u in order)):
-        rem = dict(zip(order, combo))
-        results.extend(_materialise_combo(lhs, phi, s, assign, parts, rem, rem_id))
-
-    seen = set()
-    unique = []
-    for mat in results:
-        key = _structural_key(mat)
-        if key not in seen:
-            seen.add(key)
-            unique.append(mat)
-    return unique
-
-
-def _structural_key(mat: Materialisation):
-    s = mat.shape
-    return (tuple(sorted((v, s.node_mult[v]) for v in s.graph.nodes)),
-            tuple(sorted((a, l.text, l.arity, b) for (a, l, b) in s.graph.edges)),
-            tuple(sorted((v, l.text, tuple(sorted(x.text for x in k)), mu)
-                         for (v, l, k), mu in s.out_mult.items())),
-            tuple(sorted((v, l.text, tuple(sorted(x.text for x in k)), mu)
-                         for (v, l, k), mu in s.in_mult.items())),
-            mat.match.as_tuple())
-
-
-def _materialise_combo(lhs, phi, s, assign, parts, rem, rem_id):
-    # Node layer for this remainder combination.
-    def parts_of(x):
-        if x in parts:
-            ps = list(parts[x])
-            if rem[x][0]:
-                ps.append(rem_id[x])
-            return ps
-        return [x]
-
-    node_mult = {}
-    labels = {}
-    for x in sorted(s.graph.nodes):
-        if x in parts:
-            for p in parts[x]:
-                node_mult[p] = mult.ONE
-                labels[p] = s.class_key(x)
-            if rem[x][0]:
-                node_mult[rem_id[x]] = rem[x][1]
-                labels[rem_id[x]] = s.class_key(x)
-        else:
-            node_mult[x] = s.node_mult[x]
-            labels[x] = s.class_key(x)
-
-    matched = {(assign[a], l, assign[b]) for (a, l, b) in lhs.binary_edges()}
-
-    # The new nodes replacing split collectors; their multiplicity slots
-    # are re-derived, everything else keeps its original entries.
-    new_parts = []
-    for u in sorted(parts):
-        new_parts.extend(parts_of(u))
-    part_set = set(new_parts)
-
-    slot_axes = []  # (part, dir, label, class key, option list)
-    for u in sorted(parts):
-        for p in parts_of(u):
-            is_rem = p == rem_id.get(u)
-            for direction, table in (("out", s.out_mult), ("in", s.in_mult)):
-                for (v, l, key), mu in sorted(table.items(),
-                                              key=lambda it: (it[0][0], it[0][1].text,
-                                                              sorted(x.text for x in it[0][2]))):
-                    if v != u:
-                        continue
-                    options = _slot_options(s, lhs, phi, assign, labels, node_mult,
-                                            parts_of, p, is_rem, direction, l, key,
-                                            mu, matched)
-                    if not options:
-                        return []
-                    slot_axes.append((p, direction, l, key, options))
-
-    out = []
-    for choice in _consistent_choices(slot_axes, labels, part_set):
-        built = _assemble(s, labels, node_mult, parts, parts_of, part_set,
-                          slot_axes, choice, assign)
-        if built is not None:
-            out.append(Materialisation(built, Morphism(dict(assign))))
-        if len(out) > MAX_BRANCHES:
-            raise ShapeError("materialisation branch explosion "
-                             f"(over {MAX_BRANCHES} branches)")
-    return out
-
-
-def _consistent_choices(slot_axes, labels, part_set):
-    """Depth-first assignment of slot options.
-
-    Reciprocal slots of two parts must demand the same part-to-part
-    edges; checking that while assigning prunes the product early.
-    The full consistency check still runs during assembly.
-    """
-    n = len(slot_axes)
-    chosen = [None] * n
-    index = {(p, d, l, key): i for i, (p, d, l, key, _) in enumerate(slot_axes)}
-
-    def conflicts(i, support):
-        p, direction, l, key = slot_axes[i][:4]
-        back_dir = "in" if direction == "out" else "out"
-        for q in sorted(part_set):
-            if labels[q] != key:
-                continue
-            j = index.get((q, back_dir, l, labels[p]))
-            if j is None:
-                if q in support:
-                    return True          # demanded edge with no reciprocal slot
-                continue
-            if j < i and chosen[j] is not None:
-                demanded_here = q in support
-                demanded_back = p in chosen[j][1]
-                if demanded_here != demanded_back:
-                    return True
-        return False
-
-    def extend(i):
-        if i == n:
-            yield tuple(chosen)
-            return
-        for option in slot_axes[i][4]:
-            if conflicts(i, option[1]):
-                continue
-            chosen[i] = option
-            yield from extend(i + 1)
-            chosen[i] = None
-
-    yield from extend(0)
-
-
-def _slot_options(s, lhs, phi, assign, labels, node_mult, parts_of, p, is_rem,
-                  direction, l, key, mu, matched):
-    """Value/support branches for one multiplicity slot of a new part."""
-    # Matched edge images pinned on this part for this slot.
-    m_targets = set()
-    if not is_rem:
-        a = next(a for a, q in assign.items() if q == p)
-        for (x, ll, y) in lhs.binary_edges():
-            if ll != l:
-                continue
-            if direction == "out" and x == a and labels[assign[y]] == key:
-                m_targets.add(assign[y])
-            if direction == "in" and y == a and labels[assign[x]] == key:
-                m_targets.add(assign[x])
-    t = len(m_targets)
-    if t > mu.max_count:
-        return []
-
-    # Candidate targets: the original adjacency of the collector,
-    # expanded through splits of the neighbours.
-    origin = _origin_of(p, parts_of, s)
-    universe = set()
-    for (v, ll, w) in s.graph.binary_edges():
-        if ll != l:
-            continue
-        if direction == "out" and v == origin and s.class_key(w) == key:
-            universe.update(parts_of(w))
-        if direction == "in" and w == origin and s.class_key(v) == key:
-            universe.update(parts_of(v))
-    extras_universe = sorted(universe - m_targets)
-
-    options = []
-    if is_rem:
-        values = [mu]
-    else:
-        values = _value_options(mu, t)
-    for val in values:
-        if val == mult.ZERO:
-            if t == 0:
-                options.append((None, frozenset()))
-            continue
-        for extra in _subsets(extras_universe):
-            support = frozenset(m_targets | extra)
-            if not support:
-                if mu.lo == 0 and is_rem:
-                    options.append((None, frozenset()))
-                continue
-            if is_rem:
-                options.append((val, support))
-                continue
-            lower = len(support)
-            upper = t + sum(node_mult[w].max_count for w in extra)
-            if val.lo <= upper and val.hi >= lower:
-                options.append((val, support))
-    return options
-
-
-def _origin_of(p, parts_of, s):
-    for u in s.graph.nodes:
-        if p in parts_of(u):
-            return u
-    raise ShapeError(f"part {p} has no origin")
-
-
-def _assemble(s, labels, node_mult, parts, parts_of, part_set,
-              slot_axes, choice, assign):
-    out_m = {}
-    in_m = {}
-    supports = {}
-    for (p, direction, l, key, _), (val, support) in zip(slot_axes, choice):
-        supports[(p, direction, l, key)] = support
-        if val is not None:
-            table = out_m if direction == "out" else in_m
-            table[(p, l, key)] = val
-
-    # Part-to-part edges must be demanded consistently from both ends.
-    for (p, direction, l, key), support in supports.items():
-        for q in support:
-            if q not in part_set:
-                continue
-            if direction == "out":
-                back = supports.get((q, "in", l, labels[p]))
-            else:
-                back = supports.get((q, "out", l, labels[p]))
-            if back is None or p not in back:
-                return None
-
-    edges = set()
-    for x, old_labels in labels.items():
-        for l in old_labels:
-            edges.add((x, l, x))
-    for (v, l, w) in s.graph.binary_edges():
-        if v in parts or w in parts:
-            continue
-        edges.add((v, l, w))
-    for (p, direction, l, key), support in supports.items():
-        for w in support:
-            edges.add((p, l, w) if direction == "out" else (w, l, p))
-
-    # Untouched nodes keep their slots; entries survive only while they
-    # still have at least one support edge.
-    binary = [(v, l, w) for (v, l, w) in edges if not l.is_unary]
-    out_support = {(v, l, labels[w]) for (v, l, w) in binary}
-    in_support = {(w, l, labels[v]) for (v, l, w) in binary}
-    for table, support, kept in ((s.out_mult, out_support, out_m),
-                                 (s.in_mult, in_support, in_m)):
-        for slot, mu in table.items():
-            if slot[0] in parts:
-                continue
-            if slot in support:
-                kept[slot] = mu
-            elif mu.lo > 0:
-                return None
-
-    shape = Shape(graph(node_mult, edges), dict(node_mult), out_m, in_m)
-    try:
-        shape.validate()
-    except ShapeError:
-        return None
-    return shape
 
 
 # --- abstract engine: apply ----------------------------------------------
@@ -647,56 +531,35 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
 
 
 def normalise(s: Shape) -> Shape:
-    """Fold same-signature nodes back together; idempotent."""
-    current = s
-    while True:
-        merged = _normalise_pass(current)
-        if len(merged.graph.nodes) == len(current.graph.nodes):
-            return merged
-        current = merged
+    """Fold same-signature nodes together in one pass; idempotent.
 
-
-def _slot_items(table, v):
-    return tuple(sorted(
-        (l.text, tuple(sorted(x.text for x in key)), mu)
-        for (w, l, key), mu in table.items() if w == v))
-
-
-def _normalise_pass(s: Shape) -> Shape:
-    sig = {}
-    for v in s.graph.nodes:
-        sig[v] = (tuple(sorted(l.text for l in s.class_key(v))),
-                  _slot_items(s.out_mult, v),
-                  _slot_items(s.in_mult, v))
+    A node's signature is its label set and its slot tables, which are
+    keyed by label sets, never by node ids.  A merged node keeps its
+    representative's slots, so nodes that differ before the pass still
+    differ after it, and a second pass would merge nothing.
+    """
+    slots = {v: ([], []) for v in s.graph.nodes}   # node -> (out, in) entries
+    for side, table in enumerate((s.out_mult, s.in_mult)):
+        for (v, l, key), mu in table.items():
+            slots[v][side].append((l, key, mu))
     groups = {}
     for v in sorted(s.graph.nodes):
-        groups.setdefault(sig[v], []).append(v)
+        sig = (tuple(sorted(l.text for l in s.class_key(v))),
+               _slot_items(slots[v][0]), _slot_items(slots[v][1]))
+        groups.setdefault(sig, []).append(v)
+    ordered = [grp for _, grp in sorted(groups.items(), key=lambda kv: kv[0])]
+    new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
 
-    ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    new_id = {}
-    for i, (_, members) in enumerate(ordered):
-        for v in members:
-            new_id[v] = i
-
-    node_mult = {}
-    for i, (_, members) in enumerate(ordered):
-        total = s.node_mult[members[0]]
-        for v in members[1:]:
-            total = add(total, s.node_mult[v])
-        node_mult[i] = total
-
-    edges = set()
-    for (v, l, w) in s.graph.edges:
-        edges.add((new_id[v], l, new_id[w]))
-
-    out_m = {}
-    in_m = {}
-    for i, (_, members) in enumerate(ordered):
-        rep = members[0]
-        for (v, l, key), mu in s.out_mult.items():
-            if v == rep:
-                out_m[(i, l, key)] = mu
-        for (v, l, key), mu in s.in_mult.items():
-            if v == rep:
-                in_m[(i, l, key)] = mu
+    node_mult, out_m, in_m = {}, {}, {}
+    for i, grp in enumerate(ordered):
+        node_mult[i] = functools.reduce(add, (s.node_mult[v] for v in grp))
+        rep_out, rep_in = slots[grp[0]]
+        out_m.update(((i, l, key), mu) for l, key, mu in rep_out)
+        in_m.update(((i, l, key), mu) for l, key, mu in rep_in)
+    edges = {(new_id[v], l, new_id[w]) for (v, l, w) in s.graph.edges}
     return Shape(graph(node_mult, edges), node_mult, out_m, in_m)
+
+
+def _slot_items(entries):
+    return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
+                        for l, key, mu in entries))

@@ -1,11 +1,15 @@
 """Rules and the two rewrite pipelines."""
 
+import itertools
+
 import pytest
 
-from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_PLUS, Morphism, Rule,
-                        RuleError, Shape, abstract, apply, approx_card, binary,
-                        concrete_apply, concrete_matches, graph, materialise,
-                        normalise, prematch, strictly_isomorphic, unary)
+from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_PLUS, ApplyInfeasible,
+                        ExploreConfig, Morphism, Rule, RuleError, Shape,
+                        ShapeError, abstract, apply, approx_card, binary,
+                        concrete_apply, concrete_matches, explore, graph,
+                        load_bundled, materialise, normalise, prematch,
+                        strictly_isomorphic, unary)
 
 from conftest import random_graph
 
@@ -204,9 +208,30 @@ def test_materialise_splits_collector():
     assert any(ONE_PLUS in mat.shape.node_mult.values() for mat in mats)
 
 
-def test_materialise_drops_optional_remainder():
-    # collector with multiplicity 1+: after pulling out one node the
-    # remainder may be empty or non-empty -> both branches appear
+def test_materialise_demands_part_to_part_edges_from_both_ends():
+    # a 3-cycle folds into one 2+ collector with an n-loop; matching
+    # x -n-> y inside it splits off two parts whose out- and in-slots
+    # must agree on the edges between them
+    g = graph(range(3), [(v, C, v) for v in range(3)]
+              + [(0, n, 1), (1, n, 2), (2, n, 0)])
+    s = abstract(g)
+    r = Rule("step", {0: READER, 1: READER},
+             ((0, C, 0, READER), (1, C, 1, READER), (0, n, 1, READER)))
+    (m,) = prematch(r, s)
+    mats = materialise(r, m, s)
+    assert {mat.match.node_map[0] for mat in mats} == {1}
+    assert {mat.match.node_map[1] for mat in mats} == {2}   # 3: remainder
+    assert sorted(sorted(mat.shape.graph.binary_edges()) for mat in mats) == [
+        [(1, n, 2), (2, n, 1)],
+        [(1, n, 2), (2, n, 1), (3, n, 3)],
+        [(1, n, 2), (2, n, 3), (3, n, 1)],
+        [(1, n, 2), (2, n, 3), (3, n, 1), (3, n, 3)],
+    ]
+
+
+def optional_remainder():
+    """A 1+ packet collector at a location, and a rule grabbing one packet:
+    the remainder may be empty or not, one branch each."""
     g = graph(range(2), [(0, L, 0), (1, P, 1), (1, at, 0)])
     s = abstract(g)
     v = next(v for v in s.graph.nodes if s.class_key(v) == frozenset({P}))
@@ -214,9 +239,61 @@ def test_materialise_drops_optional_remainder():
               dict(s.in_mult))
     r = Rule("grab", {0: READER, 1: READER},
              ((0, L, 0, READER), (1, P, 1, READER), (1, at, 0, READER)))
+    return r, s
+
+
+def test_materialise_drops_optional_remainder():
+    r, s = optional_remainder()
     mats = materialise(r, prematch(r, s)[0], s)
     node_counts = {len(mat.shape.graph.nodes) for mat in mats}
     assert node_counts == {2, 3}
+
+
+def test_branch_cap_counts_the_whole_call(monkeypatch):
+    # the two branches come from two remainder choices; the cap holds
+    # for their sum, not for each choice alone
+    r, s = optional_remainder()
+    m = prematch(r, s)[0]
+    monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 2)
+    assert len(materialise(r, m, s)) == 2
+    monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 1)
+    with pytest.raises(ShapeError, match="branch explosion"):
+        materialise(r, m, s)
+
+
+@pytest.fixture(scope="module", params=["firewall-2", "firewall-3"])
+def rewrite_steps(request):
+    """Every (rule, branches) of every state stored by a dfs run with
+    subsumption on."""
+    grammar = load_bundled(request.param)
+    ts, _ = explore(grammar, ExploreConfig(strategy="dfs", subsumption=True))
+    return [(rule, materialise(rule, m, s))
+            for s in ts.states.values()
+            for rule in grammar.rules
+            for m in prematch(rule, s)]
+
+
+def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
+    assert sum(len(mats) for _, mats in rewrite_steps) >= 50
+    for _, mats in rewrite_steps:
+        for mat in mats:
+            mat.shape.validate()
+        for x, y in itertools.combinations(mats, 2):
+            assert x != y   # graph, node_mult, out_mult, in_mult and match
+
+
+def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
+    merged = 0
+    for rule, mats in rewrite_steps:
+        for mat in mats:
+            try:
+                t = apply(rule, mat)
+            except ApplyInfeasible:
+                continue
+            once = normalise(t)
+            merged += len(once.graph.nodes) < len(t.graph.nodes)
+            assert normalise(once) == once
+    assert merged >= 30
 
 
 # --- apply + normalise ----------------------------------------------------
