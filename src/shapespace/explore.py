@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, certificate as graph_certificate, find_isomorphism
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
-                    materialise, normalise, prematch)
-from .shapes import (Shape, ShapeError, abstract, compare_shapes,
-                     shape_certificate, strict_shape_certificate)
+                    materialise, prematch)
+from .shapes import Shape, ShapeError, abstract, compare_shapes, normalise
 
 
 class ExploreError(ValueError):
@@ -86,11 +85,13 @@ class TransitionSystem:
         return sorted(i for i in self.states if i not in self.marked)
 
     def audit(self, engine):
-        """No stored pair may be strictly isomorphic."""
-        by_cert = {}
+        """No stored pair may be strictly isomorphic: an isomorphism
+        search, independent of the store's identities."""
+        groups = {}
         for i, s in self.states.items():
-            by_cert.setdefault(engine.certificate(s), []).append(i)
-        for ids in by_cert.values():
+            g = s if isinstance(s, Graph) else s.graph
+            groups.setdefault((len(g.edges), *sorted(g.colours.values())), []).append(i)
+        for ids in groups.values():
             for i, j in itertools.combinations(ids, 2):
                 below, above = engine.compare(self.states[i], self.states[j])
                 if below and above:
@@ -101,9 +102,10 @@ class TransitionSystem:
 
 
 class ConcreteEngine:
-    """States are plain graphs; collapsing is up to graph isomorphism."""
+    """States are plain graphs, identified by their canonical form.  A
+    graph subsumes only its isomorphic copies: no subsumption scan."""
 
-    name = "concrete"
+    bucket = None
 
     def __init__(self, grammar):
         self.grammar = grammar
@@ -111,10 +113,8 @@ class ConcreteEngine:
     def start_state(self) -> Graph:
         return self.grammar.start
 
-    def certificate(self, g: Graph) -> str:
+    def identity(self, g: Graph) -> str:
         return graph_certificate(g)
-
-    strict_certificate = certificate
 
     def compare(self, g: Graph, h: Graph):
         iso = find_isomorphism(g, h) is not None
@@ -129,10 +129,9 @@ class ConcreteEngine:
 
 
 class AbstractEngine:
-    """States are shapes; freshness is strict shape isomorphism or
-    shape subsumption."""
-
-    name = "abstract"
+    """States are normal shapes, each its own identity; freshness is
+    strict shape isomorphism or shape subsumption.  Subsumption buckets
+    are keyed by the graph's canonical form."""
 
     def __init__(self, grammar):
         self.grammar = grammar
@@ -143,13 +142,14 @@ class AbstractEngine:
                     "which the abstract engine does not support")
 
     def start_state(self) -> Shape:
-        return abstract(self.grammar.start)
+        return abstract(self.grammar.start, normal=True)
 
-    def certificate(self, s: Shape) -> str:
-        return shape_certificate(s)
+    @staticmethod
+    def identity(s: Shape) -> Shape:
+        return s
 
-    def strict_certificate(self, s: Shape) -> str:
-        return strict_shape_certificate(s)
+    def bucket(self, s: Shape) -> str:
+        return graph_certificate(s.graph)
 
     def compare(self, s: Shape, t: Shape):
         below, above = compare_shapes(s, t)
@@ -195,45 +195,48 @@ def make_engine(grammar, name: str):
 
 
 class _Store:
-    """Certificate-bucketed state store with the two freshness policies."""
+    """State store with the two freshness policies: ``live`` maps the
+    identity of each unmarked state to its id; with subsumption on,
+    ``buckets`` hold the unmarked states, each bucket an antichain."""
 
     def __init__(self, engine, subsumption: bool):
         self.engine = engine
-        self.subsumption = subsumption
-        # Subsumable shapes must share a bucket; for strict isomorphism
-        # the finer multiplicity-aware certificate keeps buckets small.
-        self.certify = (engine.certificate if subsumption
-                        else engine.strict_certificate)
+        self.bucket_of = engine.bucket if subsumption else None
+        self.live = {}
         self.buckets = {}
         self.newly_marked = []
 
     def add(self, ts: TransitionSystem, state, next_id):
         """Store ``state`` if fresh; returns ``(fresh, canonical id)``.
 
-        With subsumption on, states of the store subsumed by the
-        newcomer are marked; ``self.newly_marked`` carries them to the
-        caller for frontier trimming.
+        In an antichain only an exact duplicate can subsume the
+        newcomer, so the bucket is scanned only on an identity miss.
+        States subsumed by the newcomer are marked; ``self.newly_marked``
+        carries them to the caller for frontier trimming.
         """
         self.newly_marked = []
-        cert = self.certify(state)
-        bucket = self.buckets.setdefault(cert, [])
+        key = self.engine.identity(state)
+        i = self.live.get(key)
+        if i is not None:
+            return False, i
+        bucket = self.buckets.setdefault(self.bucket_of(state), []) \
+            if self.bucket_of else []
         below = []
         for i in bucket:
             new_below_old, old_below_new = self.engine.compare(state, ts.states[i])
-            if self.subsumption:
-                if new_below_old:
-                    return False, i
-                if old_below_new:
-                    below.append(i)
-            elif new_below_old and old_below_new:
+            if new_below_old:
                 return False, i
+            if old_below_new:
+                below.append(i)
+        for j in below:
+            bucket.remove(j)
+            del self.live[self.engine.identity(ts.states[j])]
+            ts.marked.add(j)
+            self.newly_marked.append(j)
         i = next(next_id)
         ts.states[i] = state
+        self.live[key] = i
         bucket.append(i)
-        for j in below:
-            ts.marked.add(j)
-            bucket.remove(j)
-            self.newly_marked.append(j)
         return True, i
 
 

@@ -1,4 +1,4 @@
-"""Simple directed labelled graphs, morphisms, certificates and isomorphism.
+"""Simple directed labelled graphs, morphisms, canonical forms and isomorphism.
 
 Node labels are encoded as self-loops carrying unary labels; there is no
 separate label field.  Node ids are opaque integers local to each graph:
@@ -7,15 +7,13 @@ semantic equality.
 
 Each graph derives two views from its edges the first time they are
 used, and keeps them: ``labels`` (node -> unary label set) and
-``colours`` (node -> refined colour).  One backtracking search,
+``colours`` (node -> stable colour).  One backtracking search,
 ``morphisms``, serves rule matching, negative conditions and
 isomorphism.
 """
 
 from __future__ import annotations
 
-import hashlib
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -87,8 +85,8 @@ class Graph:
 
     @cached_property
     def colours(self) -> dict:
-        """Node -> refined colour (see ``_refined_colours``)."""
-        return _refined_colours(self)
+        """Node -> stable colour, independent of numbering (``_refine``)."""
+        return _stable_colours(self)[0]
 
     def node_labels(self, v) -> frozenset:
         """Unary labels carried by node ``v`` (its self-loops)."""
@@ -165,41 +163,77 @@ def is_morphism(m: Morphism, g: Graph, h: Graph) -> bool:
     return all((m(v), l, m(w)) in h.edges for (v, l, w) in g.edges)
 
 
-# --- certificates ---------------------------------------------------------
+# --- canonical form -------------------------------------------------------
 #
-# Iterated neighbourhood colour refinement: start from the unary label
-# set of each node and repeatedly fold in the multiset of (label,
-# direction, neighbour colour) triples.  A small fixed iteration count
-# is enough for the filtering role certificates play here.
-
-_REFINEMENT_ROUNDS = 3
+# A colour is the rank of a node's signature among the graph's sorted
+# signatures, so it does not depend on node numbering.  Signatures start
+# as unary label texts; refinement adds the codes ``(2i or 2i + 1) * n + c``
+# of the node's edges with the i-th binary label, out or in, to colour c.
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+def _refine(colour: dict, near: dict) -> dict:
+    """Refine ``colour`` until no cell splits.  A new colour is the rank
+    of a signature that leads with the old colour, so cells keep order."""
+    n, cells = len(colour), len(set(colour.values()))
+    while True:
+        sig = {v: (c, tuple(sorted([t * n + colour[w] for t, w in near[v]])))
+               for v, c in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[s] for v, s in sig.items()}
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
 
 
-def _refined_colours(g: Graph, rounds: int = _REFINEMENT_ROUNDS) -> dict:
-    out = {v: [] for v in g.nodes}
-    into = {v: [] for v in g.nodes}
-    for (v, l, w) in g.edges:
-        if not l.is_unary:
-            out[v].append((l.text, w))
-            into[w].append((l.text, v))
-    colour = {v: _digest("lab:" + ",".join(sorted(l.text for l in g.labels[v])))
-              for v in g.nodes}
-    for _ in range(rounds):
-        colour = {v: _digest(colour[v] + "|" + ";".join(
-                      sorted(f"o:{t}:{colour[w]}" for t, w in out[v])
-                      + sorted(f"i:{t}:{colour[w]}" for t, w in into[v])))
-                  for v in g.nodes}
-    return {v: sys.intern(c) for v, c in colour.items()}
+def _stable_colours(g: Graph):
+    """The stable colouring, sorted unary label texts per node, sorted
+    binary label texts, and per node ``(2i or 2i + 1, neighbour)`` pairs."""
+    texts = {v: [] for v in g.nodes}
+    binary = []
+    for e in g.edges:
+        if e[1].arity == "unary":
+            texts[e[0]].append(e[1].text)
+        else:
+            binary.append(e)
+    code = {t: 2 * i for i, t in enumerate(sorted({l.text for _, l, _ in binary}))}
+    near = {v: [] for v in g.nodes}
+    for (v, l, w) in binary:
+        near[v].append((code[l.text], w))
+        near[w].append((code[l.text] + 1, v))
+    texts = {v: tuple(sorted(ts)) for v, ts in texts.items()}
+    order = sorted(set(texts.values()))
+    colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
+    return colour, texts, list(code), near
 
 
 def certificate(g: Graph) -> str:
-    """Deterministic, renaming-invariant hash; isomorphic graphs collide."""
-    colours = sorted(g.colours.values())
-    return _digest(f"n={len(g.nodes)};e={len(g.edges)};" + ",".join(colours))
+    """Canonical form: equal exactly for isomorphic graphs.
+
+    Individualisation refines the stable colouring to one node per cell
+    and keeps the least leaf, the sorted codes of the binary edges
+    between colours.  The first cell of several nodes branches once per
+    twin class (nodes with the same labelled neighbours, which an
+    automorphism swaps).  Colours keep the order of the label sets, so
+    the sorted label sets and the leaf fix the graph.
+    """
+    colour, texts, tags, near = _stable_colours(g)
+    n, t = len(g.nodes), len(tags)
+    edges = [(v, c // 2, w) for v, ns in near.items() for c, w in ns if c % 2 == 0]
+
+    def least(colour):
+        cells = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            return sorted([(colour[v] * t + k) * n + colour[w] for v, k, w in edges])
+        x = min(c for c, vs in cells.items() if len(vs) > 1)
+        reps = {frozenset((c, -1 if w == v else w) for c, w in near[v]): v
+                for v in cells[x]}
+        return min(least(_refine({u: c + (c > x or (c == x and u != v))
+                                  for u, c in colour.items()}, near))
+                   for v in reps.values())
+
+    return repr((n, sorted(texts.values()), tags, least(colour)))
 
 
 # --- morphism and isomorphism search --------------------------------------

@@ -4,11 +4,10 @@ A rule is a single graph whose elements carry roles: readers are
 matched and kept, erasers matched and deleted, creators added, and
 embargo elements form a negative application condition (concrete
 engine only).  The abstract pipeline is prematch / materialise /
-apply / normalise; the concrete pipeline is match / apply.
+apply, then ``shapes.normalise``; the concrete pipeline is match / apply.
 
 Materialisation builds only valid, pairwise distinct branches; the
-tests assert both, with ``Shape.validate`` and equality.  Normalisation
-merges same-signature nodes in a single pass.
+tests assert both, with ``Shape.validate`` and equality.
 
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
@@ -16,7 +15,6 @@ incident edges.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -525,41 +523,3 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         for l in labels[x]:
             all_edges.add((x, l, x))
     return Shape(graph(nodes, all_edges), node_mult, out_m, in_m)
-
-
-# --- abstract engine: normalise ------------------------------------------
-
-
-def normalise(s: Shape) -> Shape:
-    """Fold same-signature nodes together in one pass; idempotent.
-
-    A node's signature is its label set and its slot tables, which are
-    keyed by label sets, never by node ids.  A merged node keeps its
-    representative's slots, so nodes that differ before the pass still
-    differ after it, and a second pass would merge nothing.
-    """
-    slots = {v: ([], []) for v in s.graph.nodes}   # node -> (out, in) entries
-    for side, table in enumerate((s.out_mult, s.in_mult)):
-        for (v, l, key), mu in table.items():
-            slots[v][side].append((l, key, mu))
-    groups = {}
-    for v in sorted(s.graph.nodes):
-        sig = (tuple(sorted(l.text for l in s.class_key(v))),
-               _slot_items(slots[v][0]), _slot_items(slots[v][1]))
-        groups.setdefault(sig, []).append(v)
-    ordered = [grp for _, grp in sorted(groups.items(), key=lambda kv: kv[0])]
-    new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
-
-    node_mult, out_m, in_m = {}, {}, {}
-    for i, grp in enumerate(ordered):
-        node_mult[i] = functools.reduce(add, (s.node_mult[v] for v in grp))
-        rep_out, rep_in = slots[grp[0]]
-        out_m.update(((i, l, key), mu) for l, key, mu in rep_out)
-        in_m.update(((i, l, key), mu) for l, key, mu in rep_in)
-    edges = {(new_id[v], l, new_id[w]) for (v, l, w) in s.graph.edges}
-    return Shape(graph(node_mult, edges), node_mult, out_m, in_m)
-
-
-def _slot_items(entries):
-    return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
-                        for l, key, mu in entries))

@@ -9,7 +9,7 @@ keyed by ``(node, binary label, label set of the target block)``.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -64,13 +64,18 @@ class Shape:
 
     ``out_mult``/``in_mult`` are sparse: a missing entry denotes
     multiplicity 0 and the absence of shape edges for that slot.
-    Shapes are immutable by convention after construction.
+    Shapes are immutable by convention after construction.  Normal
+    shapes (``normalise``) are strictly isomorphic exactly when equal,
+    and equal shapes have equal graphs, which they hash by.
     """
 
     graph: Graph
     node_mult: dict = field(default_factory=dict)
     out_mult: dict = field(default_factory=dict)
     in_mult: dict = field(default_factory=dict)
+
+    def __hash__(self):
+        return hash(self.graph)
 
     def class_key(self, v) -> frozenset:
         return self.graph.node_labels(v)
@@ -128,22 +133,58 @@ class Shape:
                 f"{len(self.graph.binary_edges())} edges)")
 
 
-def abstract(g: Graph) -> Shape:
-    """Fold the radius-1 equivalence classes of ``g`` into a shape."""
+def abstract(g: Graph, normal: bool = False) -> Shape:
+    """Fold the radius-1 equivalence classes of ``g`` into a shape, its
+    nodes numbered in order of their least member or, if ``normal``, in
+    normal form (``normalise``)."""
     _, level1 = neighbourhood_partition(g)
     counts = _edge_counts(g)
     node_of = {v: i for i, block in enumerate(level1) for v in block}
-
     edges = {(node_of[v], l, node_of[w]) for (v, l, w) in g.edges}
-    node_mult = {}
-    out_mult = {}
-    in_mult = {}
+    node_mult, out_mult, in_mult = {}, {}, {}
     for i, block in enumerate(level1):
         node_mult[i] = approx_card(len(block))
         for (l, key, direction), n in counts[min(block)].items():
             table = out_mult if direction == "out" else in_mult
             table[(i, l, key)] = approx_card(n)
-    return Shape(graph(node_mult, edges), node_mult, out_mult, in_mult)
+    s = Shape(graph(node_mult, edges), node_mult, out_mult, in_mult)
+    return normalise(s) if normal else s
+
+
+def normalise(s: Shape) -> Shape:
+    """Fold same-signature nodes together in one pass; idempotent.
+
+    A node's signature is its label set and its slot tables, which are
+    keyed by label sets, never by node ids.  Nodes are numbered in
+    signature order.  A merged node keeps its representative's slots,
+    so nodes that differ before the pass still differ after it, and a
+    second pass would merge nothing.
+    """
+    slots = {v: ([], []) for v in s.graph.nodes}   # node -> (out, in) entries
+    for side, table in enumerate((s.out_mult, s.in_mult)):
+        for (v, l, key), mu in table.items():
+            slots[v][side].append((l, key, mu))
+    groups = {}
+    for v in sorted(s.graph.nodes):
+        sig = (tuple(sorted(l.text for l in s.class_key(v))),
+               _slot_items(slots[v][0]), _slot_items(slots[v][1]))
+        groups.setdefault(sig, []).append(v)
+    ordered = [groups[sig] for sig in sorted(groups)]
+    new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
+
+    node_mult, out_m, in_m = {}, {}, {}
+    for i, grp in enumerate(ordered):
+        node_mult[i] = functools.reduce(mult.add, (s.node_mult[v] for v in grp))
+        rep_out, rep_in = slots[grp[0]]
+        out_m.update(((i, l, key), mu) for l, key, mu in rep_out)
+        in_m.update(((i, l, key), mu) for l, key, mu in rep_in)
+    edges = {(new_id[v], l, new_id[w]) for (v, l, w) in s.graph.edges}
+    return Shape(graph(node_mult, edges), node_mult, out_m, in_m)
+
+
+def _slot_items(entries):
+    return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
+                        for l, key, mu in entries))
 
 
 # --- comparison -----------------------------------------------------------
@@ -196,51 +237,14 @@ def shape_subsumes(t: Shape, s: Shape):
 
 
 def strictly_isomorphic(s: Shape, t: Shape) -> bool:
-    """Mutual subsumption through one witness: equal multiplicities."""
-    for phi in isomorphisms(s.graph, t.graph):
-        inv = {w: v for v, w in phi.items()}
-        if _mults_below(s, t, phi) and _mults_below(t, s, inv):
-            return True
-    return False
-
-
-def shape_certificate(s: Shape) -> str:
-    """Hash from graph structure and similarity only.
-
-    Multiplicities are deliberately excluded so that mutually
-    subsumable shapes land in the same store bucket.
-    """
-    return hashlib.sha256(("shape:" + certificate(s.graph))
-                          .encode("utf-8")).hexdigest()[:16]
-
-
-def strict_shape_certificate(s: Shape) -> str:
-    """Hash that additionally folds in the multiplicity multisets.
-
-    Strictly isomorphic shapes collide; merely subsumable ones need
-    not.  Useful for bucketing when freshness is strict isomorphism.
-    """
-    def key_text(key):
-        return ",".join(sorted(l.text for l in key))
-
-    node_part = sorted(f"{m.lo}:{m.hi}" for m in s.node_mult.values())
-    out_part = sorted(f"{l.text}|{key_text(k)}|{m.lo}:{m.hi}"
-                      for (_, l, k), m in s.out_mult.items())
-    in_part = sorted(f"{l.text}|{key_text(k)}|{m.lo}:{m.hi}"
-                     for (_, l, k), m in s.in_mult.items())
-    text = (shape_certificate(s) + ";" + ";".join(node_part) + "#"
-            + ";".join(out_part) + "#" + ";".join(in_part))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    """Mutual subsumption, which forces equal multiplicities: the two
+    witnesses compose to an automorphism that can only widen them."""
+    return None not in compare_shapes(s, t)
 
 
 def covered(g: Graph, states) -> bool:
     """Whether some shape in ``states`` subsumes the abstraction of ``g``."""
     s = abstract(g)
-    cert = shape_certificate(s)
-    for t in states:
-        if shape_certificate(t) != cert:
-            continue
-        wit, _ = compare_shapes(s, t)
-        if wit is not None:
-            return True
-    return False
+    cert = certificate(s.graph)
+    return any(compare_shapes(s, t)[0] is not None
+               for t in states if certificate(t.graph) == cert)

@@ -10,6 +10,7 @@ from shapespace.explore import make_engine
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
 FIREWALL2 = load_bundled("firewall-2")
+FIREWALL3 = load_bundled("firewall-3")
 
 
 def run(grammar, **kw):
@@ -103,13 +104,16 @@ def test_transitions_relevant_counts_relevant_sources():
 # --- store audit ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("grammar", [COUNTER, LINKED_LIST, FIREWALL2],
-                         ids=["counter", "linked-list", "firewall-2"])
-def test_no_stored_pair_strictly_isomorphic(grammar):
-    engine = make_engine(grammar, "abstract")
+@pytest.mark.parametrize("engine", ["abstract", "concrete"])
+@pytest.mark.parametrize("grammar", [COUNTER, LINKED_LIST, FIREWALL2, FIREWALL3],
+                         ids=["counter", "linked-list", "firewall-2", "firewall-3"])
+def test_no_stored_pair_strictly_isomorphic(grammar, engine):
+    # The audit's isomorphism search cross-checks the store's identities:
+    # normal shapes, and the canonical form of concrete graphs.
+    limits = {"max_depth": 6} if engine == "concrete" else {}
     for cfg in all_configs():
-        ts, _ = run(grammar, **cfg)
-        ts.audit(engine)
+        ts, _ = run(grammar, **{**cfg, "engine": engine, **limits})
+        ts.audit(make_engine(grammar, engine))
 
 
 def test_audit_flags_duplicates():

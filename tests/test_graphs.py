@@ -107,9 +107,94 @@ def test_certificate_separates_simple_cases():
 
 def test_certificate_stable_across_runs():
     # Frozen value: certificates must not depend on process-level state
-    # such as hash randomisation.
+    # such as hash randomisation.  Node count, sorted label sets, binary
+    # labels, and the edge codes of the least leaf.
     g = graph([0, 1], [(0, A, 0), (0, e, 1)])
-    assert certificate(g) == "7ab25b31efe1ac21"
+    assert certificate(g) == "(2, [(), ('A',)], ['e'], [2])"
+
+
+def cycles(*lengths, both_ways=False):
+    """Disjoint directed e-cycles of the given lengths."""
+    edges, base = [], 0
+    for k in lengths:
+        for i in range(k):
+            edges.append((base + i, e, base + (i + 1) % k))
+            if both_ways:
+                edges.append((base + (i + 1) % k, e, base + i))
+        base += k
+    return graph(range(base), edges)
+
+
+def union(g, h):
+    """Disjoint union, ``h``'s nodes renumbered after ``g``'s."""
+    shift = {v: len(g.nodes) + i for i, v in enumerate(sorted(h.nodes))}
+    return graph(set(g.nodes) | set(shift.values()),
+                 set(g.edges) | {(shift[v], l, shift[w]) for (v, l, w) in h.edges})
+
+
+def star(*leaf_labels):
+    """A centre with one out-edge to each leaf, leaf i labelled leaf_labels[i]."""
+    return graph(range(len(leaf_labels) + 1),
+                 [(0, e, i) for i in range(1, len(leaf_labels) + 1)]
+                 + [(i, l, i) for i, l in enumerate(leaf_labels, 1)])
+
+
+def random_cycles(rng):
+    """Disjoint cycles over six nodes, one way or both, shuffled: one
+    colour class, so refinement alone cannot tell them apart."""
+    lengths, left = [], 6
+    while left:
+        lengths.append(rng.randint(min(2, left), left))
+        left -= lengths[-1]
+    return permuted(rng, cycles(*lengths, both_ways=rng.random() < 0.5))
+
+
+def test_certificate_equal_exactly_for_isomorphic_graphs(rng):
+    equal = 0
+    for i in range(600):
+        if i % 3:
+            g = random_graph(rng, max_nodes=6, edge_prob=rng.choice([0.1, 0.3]))
+            h = permuted(rng, g) if rng.random() < 0.3 else \
+                random_graph(rng, max_nodes=6, edge_prob=rng.choice([0.1, 0.3]))
+        else:
+            g, h = random_cycles(rng), random_cycles(rng)
+        same = certificate(g) == certificate(h)
+        assert same == (brute_force_isomorphism(g, h) is not None)
+        equal += same
+    assert equal >= 150
+
+
+def test_certificate_splits_what_refinement_cannot(rng):
+    # The cycle pairs have one colour class each: the stable colouring
+    # alone cannot tell them apart.
+    uniform = [
+        (cycles(6), cycles(3, 3)),
+        (cycles(6, both_ways=True), cycles(3, 3, both_ways=True)),
+        (cycles(8), cycles(4, 4)),
+        (cycles(4, 4), cycles(2, 6)),
+    ]
+    for g, h in uniform:
+        assert set(g.colours.values()) == set(h.colours.values()) == {0}
+    pairs = uniform + [
+        (star(A, A, B), star(A, B, B)),                  # twins
+        (union(star(A, A), star(A, A)), union(star(A, A, A), star(A))),
+        (union(cycles(3), cycles(3)), cycles(3, 3, 3)),  # disjoint copies
+    ]
+    for g, h in pairs:
+        assert certificate(g) != certificate(h)
+        for k in (g, h):
+            for _ in range(5):
+                assert certificate(permuted(rng, k)) == certificate(k)
+
+
+def test_certificate_of_disjoint_copies_is_exact(rng):
+    # g + g is isomorphic to g + h exactly when g and h are isomorphic
+    for _ in range(100):
+        g = random_graph(rng, max_nodes=4)
+        h = permuted(rng, g) if rng.random() < 0.5 else random_graph(rng, max_nodes=4)
+        iso = brute_force_isomorphism(g, h) is not None
+        gg, gh = union(g, g), union(permuted(rng, g), h)
+        assert (certificate(gg) == certificate(gh)) == iso
 
 
 # --- isomorphism ----------------------------------------------------------

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Shape,
-                        ShapeError, abstract, binary, compare_shapes, covered,
-                        graph, label_partition, neighbourhood_partition,
-                        shape_certificate, shape_subsumes,
+                        ShapeError, abstract, binary, certificate,
+                        compare_shapes, covered, graph, label_partition,
+                        neighbourhood_partition, normalise, shape_subsumes,
                         strictly_isomorphic, subsumes, unary)
 
 from conftest import permuted, random_graph
@@ -190,14 +190,44 @@ def test_shape_subsumption_order_laws(rng):
 
 
 def test_certificate_ignores_multiplicities():
-    assert shape_certificate(pshape(ONE)) == shape_certificate(pshape(TWO_PLUS))
+    assert certificate(pshape(ONE).graph) == certificate(pshape(TWO_PLUS).graph)
 
 
 def test_mutually_subsumable_shapes_share_certificates(rng):
     for _ in range(100):
         s = abstract(random_graph(rng))
         t = relaxed(rng, s)
-        assert shape_certificate(s) == shape_certificate(t)
+        assert certificate(s.graph) == certificate(t.graph)
+
+
+# --- normal shapes --------------------------------------------------------
+
+
+def test_normal_shapes_are_canonical(rng):
+    # The store keys shapes by themselves: renumbering the concrete
+    # graph must not change its normal abstraction.
+    for _ in range(300):
+        g = random_graph(rng, max_nodes=8)
+        s = normalise(abstract(g))
+        assert normalise(abstract(permuted(rng, g))) == s
+        assert abstract(permuted(rng, g), normal=True) == s
+        assert hash(abstract(permuted(rng, g), normal=True)) == hash(s)
+
+
+def test_normal_shapes_are_equal_exactly_when_strictly_isomorphic(rng):
+    shapes = []
+    for _ in range(120):
+        g = random_graph(rng, max_nodes=5, edge_prob=0.2)
+        s = abstract(g, normal=True)
+        shapes += [s, abstract(permuted(rng, g), normal=True),
+                   normalise(relaxed(rng, s))]
+    equal = 0
+    for s in shapes:
+        for t in shapes:
+            if certificate(s.graph) == certificate(t.graph):
+                assert strictly_isomorphic(s, t) == (s == t)
+                equal += s == t
+    assert equal > 2 * len(shapes)
 
 
 def test_covered_by_own_abstraction(rng):
