@@ -93,12 +93,16 @@ def cli_main(argv=None) -> int:
         return 1
 
     print(stats_report(stats, "table"), end="")
-    if args.stats_csv:
-        Path(args.stats_csv).write_text(stats_report(stats, "csv"),
-                                        encoding="utf-8")
-    if args.dot:
-        Path(args.dot).write_text(transition_system_dot(ts, name=grammar.name),
-                                  encoding="utf-8")
+    try:
+        if args.stats_csv:
+            Path(args.stats_csv).write_text(stats_report(stats, "csv"),
+                                            encoding="utf-8")
+        if args.dot:
+            Path(args.dot).write_text(transition_system_dot(ts, name=grammar.name),
+                                      encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if stats.complete else 2
 
 

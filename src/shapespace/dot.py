@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .graphs import Graph
-from .shapes import Shape
+from .shapes import Shape, edge_slots
 from .explore import TransitionSystem
 
 
@@ -32,8 +32,7 @@ def shape_dot(s: Shape, name: str = "shape") -> str:
         lines.append(f"  n{v} [label={_quote(text)}{style}];")
     for (a, l, b) in sorted(s.graph.binary_edges(),
                             key=lambda e: (e[0], e[1].text, e[2])):
-        om = s.out_mult.get((a, l, s.class_key(b)))
-        im = s.in_mult.get((b, l, s.class_key(a)))
+        om, im = (s.slots.get(slot) for slot in edge_slots(s.graph.labels, a, l, b))
         text = f"{l.text} [{om.text() if om else '?'}|{im.text() if im else '?'}]"
         lines.append(f"  n{a} -> n{b} [label={_quote(text)}];")
     lines.append("}")

@@ -178,8 +178,7 @@ class AbstractEngine:
 
 def _abstractness(s: Shape) -> int:
     """How many multiplicity entries of the shape are unbounded."""
-    entries = list(s.node_mult.values()) + list(s.out_mult.values()) \
-        + list(s.in_mult.values())
+    entries = [*s.node_mult.values(), *s.slots.values()]
     return sum(1 for m in entries if math.isinf(m.hi))
 
 

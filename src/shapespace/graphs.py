@@ -94,26 +94,6 @@ class Graph:
             raise GraphError(f"unknown node id {v}")
         return self.labels[v]
 
-    def out_edges(self, v, l: Label, c) -> frozenset:
-        """Outgoing ``l``-edges from ``v`` into nodes of ``c``."""
-        self._check_binary_query(v, l, c)
-        return frozenset(e for e in self.edges
-                         if e[0] == v and e[1] == l and e[2] in c)
-
-    def in_edges(self, v, l: Label, c) -> frozenset:
-        """Incoming ``l``-edges into ``v`` from nodes of ``c``."""
-        self._check_binary_query(v, l, c)
-        return frozenset(e for e in self.edges
-                         if e[2] == v and e[1] == l and e[0] in c)
-
-    def _check_binary_query(self, v, l, c):
-        if v not in self.nodes:
-            raise GraphError(f"unknown node id {v}")
-        if l.is_unary:
-            raise GraphError(f"label {l.text} is unary")
-        if not set(c) <= set(self.nodes):
-            raise GraphError("node set argument not contained in graph nodes")
-
     def binary_edges(self) -> frozenset:
         return frozenset(e for e in self.edges if not e[1].is_unary)
 
@@ -186,8 +166,9 @@ def _refine(colour: dict, near: dict) -> dict:
 
 
 def _stable_colours(g: Graph):
-    """The stable colouring, sorted unary label texts per node, sorted
-    binary label texts, and per node ``(2i or 2i + 1, neighbour)`` pairs."""
+    """The stable colouring (refined once, then kept as ``g.colours``),
+    sorted unary label texts per node, sorted binary label texts, and
+    per node ``(2i or 2i + 1, neighbour)`` pairs."""
     texts = {v: [] for v in g.nodes}
     binary = []
     for e in g.edges:
@@ -201,8 +182,11 @@ def _stable_colours(g: Graph):
         near[v].append((code[l.text], w))
         near[w].append((code[l.text] + 1, v))
     texts = {v: tuple(sorted(ts)) for v, ts in texts.items()}
-    order = sorted(set(texts.values()))
-    colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
+    colour = g.__dict__.get("colours")
+    if colour is None:   # refine at most once per graph
+        order = sorted(set(texts.values()))
+        colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
+        g.__dict__["colours"] = colour
     return colour, texts, list(code), near
 
 

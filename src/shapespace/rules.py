@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .graphs import Graph, Morphism, graph, morphisms
 from . import multiplicity as mult
-from .multiplicity import (Multiplicity, add, bounded, OMEGA, positive_part,
+from .multiplicity import (Multiplicity, add, bounded, positive_part,
                            subtract_one)
-from .shapes import Shape, ShapeError
+from .shapes import Shape, ShapeError, edge_slots
 
 READER = "reader"
 ERASER = "eraser"
@@ -176,11 +176,9 @@ def _prematch_feasible(lhs: Graph, m: dict, s: Shape) -> bool:
     for (a, l, b) in lhs.binary_edges():
         shared.setdefault((m[a], l, m[b]), []).append((a, b))
     for (v, l, w), grp in shared.items():
-        if len(grp) == 1:
-            continue
-        ub_out = s.node_mult[v].max_count * s.out_multiplicity(v, l, s.class_key(w)).max_count
-        ub_in = s.node_mult[w].max_count * s.in_multiplicity(w, l, s.class_key(v)).max_count
-        if len(grp) > min(ub_out, ub_in):
+        if len(grp) > 1 and len(grp) > min(
+                s.node_mult[slot[0]].max_count * s.slots[slot].max_count
+                for slot in edge_slots(s.graph.labels, v, l, w)):
             return False
     return True
 
@@ -198,17 +196,17 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
     concretisation of ``s`` in which ``m`` extends to an injective
     concrete match is covered by some returned branch.
 
-    Every branch is built valid and no two are equal.  They come in
-    ``itertools.product`` order over the remainder choices of the split
-    nodes (in node order), then in depth-first order of slot choices.
+    ``m`` comes from ``prematch``, so no node has more LHS nodes mapped
+    onto it than its multiplicity allows.  Every branch is built valid
+    and no two are equal.  They come in ``itertools.product`` order over
+    the remainder choices of the split nodes (in node order), then in
+    depth-first order of slot choices.
     """
     lhs = rule.lhs()
     phi = m.node_map
     groups = {}
     for a in sorted(lhs.nodes):
         groups.setdefault(phi[a], []).append(a)
-    if any(len(grp) > s.node_mult[u].max_count for u, grp in groups.items()):
-        return []
     split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
 
     fresh = itertools.count(max(s.graph.nodes, default=-1) + 1)
@@ -229,30 +227,33 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
         remainders.append(([None] if lo == 0 else [])
                           + ([positive_part(bounded(lo, hi))] if hi >= 1 else []))
 
-    # Slots are (node, direction, binary label, label set at the other end).
+    labels = dict(s.graph.labels)   # every node id a branch may use
+    for u, (ps, r) in parts.items():
+        labels.update((p, labels[u]) for p in (*ps, r))
     pinned = {}      # slot of a part -> matched neighbours it must keep
     for (x, l, y) in lhs.binary_edges():
-        pinned.setdefault((assign[x], "out", l, s.class_key(phi[y])), set()).add(assign[y])
-        pinned.setdefault((assign[y], "in", l, s.class_key(phi[x])), set()).add(assign[x])
+        out_slot, in_slot = edge_slots(labels, assign[x], l, assign[y])
+        pinned.setdefault(out_slot, set()).add(assign[y])
+        pinned.setdefault(in_slot, set()).add(assign[x])
     neighbours = {}  # slot of ``s`` -> nodes at the other end of its edges
     for (v, l, w) in s.graph.binary_edges():
-        neighbours.setdefault((v, "out", l, s.class_key(w)), []).append(w)
-        neighbours.setdefault((w, "in", l, s.class_key(v)), []).append(v)
+        out_slot, in_slot = edge_slots(labels, v, l, w)
+        neighbours.setdefault(out_slot, []).append(w)
+        neighbours.setdefault(in_slot, []).append(v)
     own = {u: [] for u in split}   # split node -> its slots, in slot order
     untouched = []                 # the other nodes' slots
-    for d, table in (("out", s.out_mult), ("in", s.in_mult)):
-        for slot, mu in sorted(table.items(), key=_slot_order):
-            if slot[0] in own:
-                own[slot[0]].append((d, slot[1], slot[2], mu))
-        untouched.extend((d, slot, mu) for slot, mu in table.items()
-                         if slot[0] not in own)
+    for slot, mu in sorted(s.slots.items(), key=_slot_order):
+        if slot[0] in own:
+            own[slot[0]].append((*slot[1:], mu))
+        else:
+            untouched.append((slot, mu))
     kept = [e for e in s.graph.binary_edges()
             if e[0] not in parts and e[2] not in parts]
 
     out = []
     for combo in itertools.product(*remainders):
-        for shape in _branches(s, parts, dict(zip(split, combo)), own, pinned,
-                               neighbours, untouched, kept):
+        for shape in _branches(s, parts, dict(zip(split, combo)), labels, own,
+                               pinned, neighbours, untouched, kept):
             out.append(Materialisation(shape, match))
             if len(out) > MAX_BRANCHES:
                 raise ShapeError("materialisation branch explosion "
@@ -261,13 +262,14 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
 
 
 def _slot_order(item):
-    (v, l, key), _ = item
-    return v, l.text, sorted(x.text for x in key)
+    """Per node: out-slots, then in-slots, each by label and key texts."""
+    (v, d, l, key), _ = item
+    return v, d == "in", l.text, sorted(x.text for x in key)
 
 
-def _branches(s, parts, rem, own, pinned, neighbours, untouched, kept):
+def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
     """The branches for one choice of remainders, depth first."""
-    node_mult, labels, members = {}, {}, {}
+    node_mult, members = {}, {}
     for x in sorted(s.graph.nodes):
         if x in parts:
             ps, r = parts[x]
@@ -279,12 +281,11 @@ def _branches(s, parts, rem, own, pinned, neighbours, untouched, kept):
         else:
             node_mult[x] = s.node_mult[x]
             members[x] = [x]
-        labels.update((p, s.class_key(x)) for p in members[x])
 
     axes = []        # (part, direction, label, key, options)
-    for u, slots in own.items():
+    for u, entries in own.items():
         for p in members[u]:
-            for (d, l, key, mu) in slots:
+            for (d, l, key, mu) in entries:
                 fixed = frozenset(pinned.get((p, d, l, key), ()))
                 universe = {y for w in neighbours.get((u, d, l, key), ())
                             for y in members[w]}
@@ -294,25 +295,21 @@ def _branches(s, parts, rem, own, pinned, neighbours, untouched, kept):
                     return
                 axes.append((p, d, l, key, options))
 
-    loops = {(x, l, x) for x, key in labels.items() for l in key}
+    loops = {(x, l, x) for x in node_mult for l in labels[x]}
     for choice in _consistent_choices(axes, labels, [p for u in own for p in members[u]]):
-        tables = {"out": {}, "in": {}}
+        slots = {}
         edges = set(kept)
         for (p, d, l, key, _), (val, support) in zip(axes, choice):
             if val is not None:
-                tables[d][p, l, key] = val
+                slots[p, d, l, key] = val
             edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
         # Untouched nodes keep their slots; entries survive only while
         # they still have at least one support edge.
-        supported = {("out", v, l, labels[w]) for (v, l, w) in edges}
-        supported.update(("in", w, l, labels[v]) for (v, l, w) in edges)
-        if any(mu.lo > 0 and (d, *slot) not in supported for d, slot, mu in untouched):
+        supported = {slot for e in edges for slot in edge_slots(labels, *e)}
+        if any(mu.lo > 0 and slot not in supported for slot, mu in untouched):
             continue
-        for d, slot, mu in untouched:
-            if (d, *slot) in supported:
-                tables[d][slot] = mu
-        yield Shape(graph(node_mult, edges | loops), dict(node_mult),
-                    tables["out"], tables["in"])
+        slots.update((slot, mu) for slot, mu in untouched if slot in supported)
+        yield Shape(graph(node_mult, edges | loops), dict(node_mult), slots)
 
 
 def _consistent_choices(axes, labels, new_nodes):
@@ -404,41 +401,37 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
     labels = {v: s.class_key(v) for v in nodes}
     edges = set(s.graph.binary_edges())
     node_mult = dict(s.node_mult)
-    out_m = dict(s.out_mult)
-    in_m = dict(s.in_mult)
+    slots = dict(s.slots)
 
     def is_concrete(v):
         return node_mult[v].is_concrete
 
-    def slot_dec(table, v, l, key, exact):
-        cur = table.get((v, l, key))
+    def slot_dec(slot, exact):
+        cur = slots.get(slot)
         if cur is None:
             return
         if exact:
             if cur.hi < 1:
-                raise ApplyInfeasible(f"removing an edge from empty slot at {v}")
+                raise ApplyInfeasible(f"removing an edge from empty slot at {slot[0]}")
             new = subtract_one(cur)
         else:
             new = bounded(max(cur.lo - 1, 0), cur.hi)
         if new == mult.ZERO:
-            table.pop((v, l, key))
+            slots.pop(slot)
         else:
-            table[(v, l, key)] = new
+            slots[slot] = new
 
-    def slot_inc(table, v, l, key, exact=True):
-        cur = table.get((v, l, key), mult.ZERO)
-        if exact:
-            table[(v, l, key)] = add(cur, mult.ONE)
-        else:
-            table[(v, l, key)] = bounded(cur.lo, cur.hi + 1)
+    def slot_inc(slot, exact=True):
+        cur = slots.get(slot, mult.ZERO)
+        slots[slot] = add(cur, mult.ONE) if exact else bounded(cur.lo, cur.hi + 1)
 
     def remove_edge(v, l, w):
         if (v, l, w) not in edges:
             return
         edges.discard((v, l, w))
         exact = is_concrete(v) and is_concrete(w)
-        slot_dec(out_m, v, l, labels[w], exact)
-        slot_dec(in_m, w, l, labels[v], exact)
+        for slot in edge_slots(labels, v, l, w):
+            slot_dec(slot, exact)
 
     # 1. matched eraser edges (binary)
     for (a, l, b, _) in rule.edges_with(ERASER):
@@ -454,9 +447,8 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         nodes.discard(x)
         labels.pop(x)
         node_mult.pop(x)
-        for table in (out_m, in_m):
-            for slot in [k for k in table if k[0] == x]:
-                table.pop(slot)
+        for slot in [k for k in slots if k[0] == x]:
+            slots.pop(slot)
 
     # 3. fresh creator nodes
     fresh = itertools.count(max(nodes, default=-1) + 1)
@@ -468,7 +460,8 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         labels[x] = frozenset(l for (v, l, w, _) in rule.edges_with(CREATOR)
                               if l.is_unary and v == a)
 
-    # 4. label changes on kept reader nodes
+    # 4. label changes on kept reader nodes: each slot whose other end
+    # is the relabelled node moves one edge to the new label set
     changes = {}
     for (a, l, b, role) in rule.edges:
         if not l.is_unary or rule.node_roles[a] != READER:
@@ -482,14 +475,11 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         if new_key == old_key:
             continue
         for (v, l, w) in sorted(edges, key=lambda e: (e[0], e[1].text, e[2])):
-            if w == x and v != x:
-                exact = is_concrete(v) and is_concrete(x)
-                slot_dec(out_m, v, l, old_key, exact)
-                slot_inc(out_m, v, l, new_key, exact)
-            if v == x and w != x:
-                exact = is_concrete(w) and is_concrete(x)
-                slot_dec(in_m, w, l, old_key, exact)
-                slot_inc(in_m, w, l, new_key, exact)
+            if v != w and x in (v, w):
+                far = edge_slots(labels, v, l, w)[0 if w == x else 1]
+                exact = is_concrete(v) and is_concrete(w)
+                slot_dec(far, exact)
+                slot_inc((*far[:3], new_key), exact)
         labels[x] = new_key
 
     # 5. creator binary edges
@@ -500,26 +490,19 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         if (x, l, y) in edges:
             continue
         edges.add((x, l, y))
-        slot_inc(out_m, x, l, labels[y])
-        slot_inc(in_m, y, l, labels[x])
+        for slot in edge_slots(labels, x, l, y):
+            slot_inc(slot)
 
     # 6. reconcile slots with the surviving edge support
-    out_support = {(v, l, labels[w]) for (v, l, w) in edges}
-    in_support = {(w, l, labels[v]) for (v, l, w) in edges}
-    for table, support in ((out_m, out_support), (in_m, in_support)):
-        for slot in list(table):
-            if slot not in support:
-                if table[slot].lo > 0:
-                    raise ApplyInfeasible(f"slot without support at node {slot[0]}")
-                table.pop(slot)
-    for (v, l, w) in edges:
-        if (v, l, labels[w]) not in out_m:
-            out_m[(v, l, labels[w])] = bounded(1, OMEGA)
-        if (w, l, labels[v]) not in in_m:
-            in_m[(w, l, labels[v])] = bounded(1, OMEGA)
+    support = {slot for e in edges for slot in edge_slots(labels, *e)}
+    for slot in [k for k in slots if k not in support]:
+        if slots.pop(slot).lo > 0:
+            raise ApplyInfeasible(f"slot without support at node {slot[0]}")
+    for slot in support:
+        slots.setdefault(slot, mult.ONE_PLUS)
 
     all_edges = set(edges)
     for x in nodes:
         for l in labels[x]:
             all_edges.add((x, l, x))
-    return Shape(graph(nodes, all_edges), node_mult, out_m, in_m)
+    return Shape(graph(nodes, all_edges), node_mult, slots)

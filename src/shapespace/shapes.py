@@ -3,8 +3,10 @@
 A shape is a graph together with a similarity partition and node/edge
 multiplicity maps.  Throughout this package the similarity relation is
 label equality (radius-0 neighbourhood equivalence), so a similarity
-block is identified by its unary label set; edge multiplicity maps are
-keyed by ``(node, binary label, label set of the target block)``.
+block is identified by its unary label set.  Edge multiplicities live
+in one table of slots: a slot is ``(node, direction, binary label,
+label set at the other end)`` with direction ``"out"`` or ``"in"``, and
+each binary edge supports two slots, given by ``edge_slots``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, Morphism, certificate, graph, isomorphisms
 from . import multiplicity as mult
-from .multiplicity import Multiplicity, approx_card, subsumes
+from .multiplicity import approx_card, subsumes
 
 
 class ShapeError(ValueError):
@@ -31,14 +33,20 @@ def label_partition(g: Graph):
                         key=lambda b: sorted(b)))
 
 
+def edge_slots(labels, v, l, w):
+    """The two slots of the edge ``(v, l, w)``: ``v``'s out-slot and
+    ``w``'s in-slot; ``labels`` maps nodes to their label sets."""
+    return (v, "out", l, labels[w]), (w, "in", l, labels[v])
+
+
 def _edge_counts(g: Graph) -> dict:
-    """Node -> edge counts keyed by (binary label, label set at the
-    other end, "out" or "in")."""
+    """Node -> edge counts keyed by the rest of the slot key,
+    ``(direction, binary label, label set at the other end)``."""
     counts = {v: Counter() for v in g.nodes}
     for (v, l, w) in g.edges:
         if not l.is_unary:
-            counts[v][l, g.labels[w], "out"] += 1
-            counts[w][l, g.labels[v], "in"] += 1
+            for slot in edge_slots(g.labels, v, l, w):
+                counts[slot[0]][slot[1:]] += 1
     return counts
 
 
@@ -62,17 +70,20 @@ def neighbourhood_partition(g: Graph):
 class Shape:
     """Graph plus similarity partition and multiplicity maps.
 
-    ``out_mult``/``in_mult`` are sparse: a missing entry denotes
-    multiplicity 0 and the absence of shape edges for that slot.
-    Shapes are immutable by convention after construction.  Normal
-    shapes (``normalise``) are strictly isomorphic exactly when equal,
-    and equal shapes have equal graphs, which they hash by.
+    ``node_mult`` maps each node to its multiplicity.  ``slots`` maps
+    slot keys ``(node, direction, binary label, label set at the other
+    end)`` to edge multiplicities: how many such edges each concrete
+    node the shape node stands for has.  It is sparse: its keys are
+    exactly the slots that some shape edge supports (``edge_slots``),
+    and a missing slot denotes multiplicity 0.  Shapes are immutable by
+    convention after construction.  Normal shapes (``normalise``) are
+    strictly isomorphic exactly when equal, and equal shapes have equal
+    graphs, which they hash by.
     """
 
     graph: Graph
     node_mult: dict = field(default_factory=dict)
-    out_mult: dict = field(default_factory=dict)
-    in_mult: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)
 
     def __hash__(self):
         return hash(self.graph)
@@ -83,25 +94,6 @@ class Shape:
     def is_concrete(self, v) -> bool:
         return self.node_mult[v].is_concrete
 
-    def out_multiplicity(self, v, l, block) -> Multiplicity:
-        """Multiplicity of outgoing ``l``-edges from ``v`` into ``block``.
-
-        ``block`` may be a similarity block (set of node ids) or its
-        label-set key.
-        """
-        return self.out_mult.get((v, l, self._key_of(block)), mult.ZERO)
-
-    def in_multiplicity(self, v, l, block) -> Multiplicity:
-        return self.in_mult.get((v, l, self._key_of(block)), mult.ZERO)
-
-    def _key_of(self, block):
-        if block and isinstance(next(iter(block)), int):
-            keys = {self.class_key(v) for v in block}
-            if len(keys) != 1:
-                raise ShapeError("node set spans several similarity blocks")
-            return keys.pop()
-        return frozenset(block)
-
     def validate(self):
         """Raise ShapeError when the shape invariants do not hold."""
         g = self.graph
@@ -110,23 +102,19 @@ class Shape:
         for v, m in self.node_mult.items():
             if m == mult.ZERO:
                 raise ShapeError(f"zero-population node {v} present")
-        out_support, in_support = set(), set()
+        support = set()
         for (v, l, w) in g.binary_edges():
-            out_support.add((v, l, self.class_key(w)))
-            in_support.add((w, l, self.class_key(v)))
-        if not out_support <= self.out_mult.keys():
-            raise ShapeError("an edge lacks an outgoing multiplicity")
-        if not in_support <= self.in_mult.keys():
-            raise ShapeError("an edge lacks an incoming multiplicity")
-        for (v, l, key), m in list(self.out_mult.items()) + list(self.in_mult.items()):
+            support.add((v, "out", l, self.class_key(w)))
+            support.add((w, "in", l, self.class_key(v)))
+        if not support <= self.slots.keys():
+            raise ShapeError("an edge lacks a slot multiplicity")
+        for (v, d, l, key), m in self.slots.items():
             if v not in g.nodes:
                 raise ShapeError(f"multiplicity entry for unknown node {v}")
             if m == mult.ZERO:
-                raise ShapeError(f"zero multiplicity stored for ({v},{l},{set(key)})")
-        if not self.out_mult.keys() <= out_support:
-            raise ShapeError("an outgoing multiplicity lacks a support edge")
-        if not self.in_mult.keys() <= in_support:
-            raise ShapeError("an incoming multiplicity lacks a support edge")
+                raise ShapeError(f"zero multiplicity stored for ({v},{d},{l},{set(key)})")
+        if not self.slots.keys() <= support:
+            raise ShapeError("a slot multiplicity lacks a support edge")
 
     def __repr__(self):
         return (f"Shape({len(self.graph.nodes)} nodes, "
@@ -141,70 +129,62 @@ def abstract(g: Graph, normal: bool = False) -> Shape:
     counts = _edge_counts(g)
     node_of = {v: i for i, block in enumerate(level1) for v in block}
     edges = {(node_of[v], l, node_of[w]) for (v, l, w) in g.edges}
-    node_mult, out_mult, in_mult = {}, {}, {}
+    node_mult, slots = {}, {}
     for i, block in enumerate(level1):
         node_mult[i] = approx_card(len(block))
-        for (l, key, direction), n in counts[min(block)].items():
-            table = out_mult if direction == "out" else in_mult
-            table[(i, l, key)] = approx_card(n)
-    s = Shape(graph(node_mult, edges), node_mult, out_mult, in_mult)
+        slots.update(((i, *k), approx_card(n)) for k, n in counts[min(block)].items())
+    s = Shape(graph(node_mult, edges), node_mult, slots)
     return normalise(s) if normal else s
 
 
 def normalise(s: Shape) -> Shape:
     """Fold same-signature nodes together in one pass; idempotent.
 
-    A node's signature is its label set and its slot tables, which are
-    keyed by label sets, never by node ids.  Nodes are numbered in
-    signature order.  A merged node keeps its representative's slots,
-    so nodes that differ before the pass still differ after it, and a
-    second pass would merge nothing.
+    A node's signature is its label set, its out-slots and its in-slots,
+    which are keyed by label sets, never by node ids.  Nodes are
+    numbered in signature order.  A merged node keeps its
+    representative's slots, so nodes that differ before the pass still
+    differ after it, and a second pass would merge nothing.
     """
-    slots = {v: ([], []) for v in s.graph.nodes}   # node -> (out, in) entries
-    for side, table in enumerate((s.out_mult, s.in_mult)):
-        for (v, l, key), mu in table.items():
-            slots[v][side].append((l, key, mu))
+    own = {v: [] for v in s.graph.nodes}   # node -> its (slot key rest, mu)
+    for (v, *rest), mu in s.slots.items():
+        own[v].append((rest, mu))
     groups = {}
     for v in sorted(s.graph.nodes):
         sig = (tuple(sorted(l.text for l in s.class_key(v))),
-               _slot_items(slots[v][0]), _slot_items(slots[v][1]))
+               _slot_items(own[v], "out"), _slot_items(own[v], "in"))
         groups.setdefault(sig, []).append(v)
     ordered = [groups[sig] for sig in sorted(groups)]
     new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
 
-    node_mult, out_m, in_m = {}, {}, {}
+    node_mult, slots = {}, {}
     for i, grp in enumerate(ordered):
         node_mult[i] = functools.reduce(mult.add, (s.node_mult[v] for v in grp))
-        rep_out, rep_in = slots[grp[0]]
-        out_m.update(((i, l, key), mu) for l, key, mu in rep_out)
-        in_m.update(((i, l, key), mu) for l, key, mu in rep_in)
+        slots.update(((i, *rest), mu) for rest, mu in own[grp[0]])
     edges = {(new_id[v], l, new_id[w]) for (v, l, w) in s.graph.edges}
-    return Shape(graph(node_mult, edges), node_mult, out_m, in_m)
+    return Shape(graph(node_mult, edges), node_mult, slots)
 
 
-def _slot_items(entries):
+def _slot_items(entries, direction):
     return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
-                        for l, key, mu in entries))
+                        for (d, l, key), mu in entries if d == direction))
 
 
 # --- comparison -----------------------------------------------------------
 
 
 def _mults_below(s: Shape, t: Shape, phi: dict) -> bool:
-    """All multiplicities of ``s`` subsumed by ``t``'s under ``phi``."""
+    """All multiplicities of ``s`` subsumed by ``t``'s under ``phi``.
+
+    ``phi`` is an isomorphism, so it keeps label sets, and both shapes'
+    slot keys are exactly their supported ones: each slot of ``s`` has
+    its image slot in ``t``.
+    """
     for v in s.graph.nodes:
         if not subsumes(t.node_mult[phi[v]], s.node_mult[v]):
             return False
-    for (v, l, w) in s.graph.binary_edges():
-        ks = s.class_key(w)
-        kt = t.class_key(phi[w])
-        if not subsumes(t.out_mult.get((phi[v], l, kt), mult.ZERO),
-                        s.out_mult.get((v, l, ks), mult.ZERO)):
-            return False
-        ks = s.class_key(v)
-        kt = t.class_key(phi[v])
-        if not subsumes(t.in_mult.get((phi[w], l, kt), mult.ZERO),
-                        s.in_mult.get((w, l, ks), mult.ZERO)):
+    for (v, *rest), mu in s.slots.items():
+        if not subsumes(t.slots[(phi[v], *rest)], mu):
             return False
     return True
 

@@ -75,6 +75,15 @@ def test_explore_dot_output(tmp_path):
     assert text.startswith("digraph") and "add" in text
 
 
+@pytest.mark.parametrize("flag", ["--dot", "--stats-csv"])
+def test_unwritable_output_exits_1(flag, tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out"
+    assert cli_main(["explore", "counter", flag, str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "no-such-dir" in err[0]
+
+
 def test_materialisation_branch_cap_exits_1(monkeypatch, capsys):
     monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 0)
     assert cli_main(["explore", "counter"]) == 1

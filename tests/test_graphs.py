@@ -8,6 +8,7 @@ import pytest
 from shapespace import (Graph, GraphError, Morphism, binary, certificate,
                         find_isomorphism, graph, is_morphism, isomorphisms,
                         unary)
+from shapespace import graphs
 from shapespace.graphs import brute_force_isomorphism, morphisms
 
 from conftest import BINARY, UNARY, permuted, random_graph
@@ -34,15 +35,6 @@ def test_label_arity_validation():
     with pytest.raises(GraphError):
         from shapespace.graphs import Label
         Label("x", "ternary")
-
-
-def test_out_in_edges():
-    g = graph([0, 1, 2], [(0, e, 1), (0, e, 2), (1, e, 2), (0, A, 0)])
-    assert len(g.out_edges(0, e, {1, 2})) == 2
-    assert len(g.out_edges(0, e, {1})) == 1
-    assert len(g.in_edges(2, e, {0, 1})) == 2
-    with pytest.raises(GraphError):
-        g.out_edges(0, A, {1})
 
 
 def test_morphism_checks():
@@ -111,6 +103,25 @@ def test_certificate_stable_across_runs():
     # labels, and the edge codes of the least leaf.
     g = graph([0, 1], [(0, A, 0), (0, e, 1)])
     assert certificate(g) == "(2, [(), ('A',)], ['e'], [2])"
+
+
+@pytest.mark.parametrize("certificate_first", [True, False])
+def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
+    # a path: the stable colouring is discrete, so the certificate needs
+    # no individualisation and every refinement is the stable one
+    calls = []
+    refine = graphs._refine
+    monkeypatch.setattr(graphs, "_refine", lambda *a: calls.append(1) or refine(*a))
+    g = graph(range(3), [(0, e, 1), (1, e, 2), (2, A, 2)])
+    fresh = graph(range(3), g.edges)
+    if certificate_first:
+        cert = certificate(g)
+        colours = g.colours
+    else:
+        colours = g.colours
+        cert = certificate(g)
+    assert len(calls) == 1
+    assert colours == fresh.colours and cert == certificate(fresh)
 
 
 def cycles(*lengths, both_ways=False):

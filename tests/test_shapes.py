@@ -6,9 +6,9 @@ import pytest
 
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Shape,
                         ShapeError, abstract, binary, certificate,
-                        compare_shapes, covered, graph, label_partition,
-                        neighbourhood_partition, normalise, shape_subsumes,
-                        strictly_isomorphic, subsumes, unary)
+                        compare_shapes, covered, graph, isomorphisms,
+                        label_partition, neighbourhood_partition, normalise,
+                        shape_subsumes, strictly_isomorphic, subsumes, unary)
 
 from conftest import permuted, random_graph
 
@@ -100,8 +100,8 @@ def test_abstract_edge_multiplicities():
     outer_loc = next(v for v in s.graph.nodes
                      if s.class_key(v) == frozenset({L, O}))
     # each packet sits at exactly one place; the location hosts three
-    assert s.out_multiplicity(outer_packets, at, {outer_loc}) == ONE
-    assert s.in_multiplicity(outer_loc, at, {outer_packets}) == TWO_PLUS
+    assert s.slots[outer_packets, "out", at, s.class_key(outer_loc)] == ONE
+    assert s.slots[outer_loc, "in", at, s.class_key(outer_packets)] == TWO_PLUS
 
 
 def test_abstract_validates_and_is_stable(rng):
@@ -115,20 +115,20 @@ def test_abstract_validates_and_is_stable(rng):
 def test_validate_rejects_broken_shapes():
     g = graph([0, 1], [(0, at, 1)])
     with pytest.raises(ShapeError):
-        Shape(g, {0: ONE, 1: ONE}, {}, {}).validate()  # edge without slots
+        Shape(g, {0: ONE, 1: ONE}, {}).validate()      # edge without slots
     with pytest.raises(ShapeError):
-        Shape(g, {0: ONE}, {}, {}).validate()          # partial node map
+        Shape(g, {0: ONE}, {}).validate()              # partial node map
     with pytest.raises(ShapeError):
         Shape(g, {0: ZERO, 1: ONE},
-              {(0, at, frozenset()): ONE},
-              {(1, at, frozenset()): ONE}).validate()  # zero-population node
+              {(0, "out", at, frozenset()): ONE,
+               (1, "in", at, frozenset()): ONE}).validate()  # zero-population node
 
 
 # --- subsumption ----------------------------------------------------------
 
 
 def pshape(mu):
-    return Shape(graph([0], [(0, P, 0)]), {0: mu}, {}, {})
+    return Shape(graph([0], [(0, P, 0)]), {0: mu}, {})
 
 
 def test_multiplicity_subsumption_lifts_to_shapes():
@@ -139,7 +139,7 @@ def test_multiplicity_subsumption_lifts_to_shapes():
 
 def test_subsumption_requires_structure_match():
     s = pshape(ONE)
-    t = Shape(graph([0], [(0, C, 0)]), {0: ONE}, {}, {})
+    t = Shape(graph([0], [(0, C, 0)]), {0: ONE}, {})
     assert not shape_subsumes(t, s)[0]
 
 
@@ -148,7 +148,7 @@ def test_subsumption_searches_all_isomorphisms():
     # to be the swap, not the identity.
     def two(mu_a, mu_b):
         return Shape(graph([0, 1], [(0, P, 0), (1, P, 1)]),
-                     {0: mu_a, 1: mu_b}, {}, {})
+                     {0: mu_a, 1: mu_b}, {})
     s = two(ONE, TWO_PLUS)
     t = two(TWO_PLUS, ONE)
     ok, wit = shape_subsumes(t, s)
@@ -170,8 +170,7 @@ def relaxed(rng, s):
     def widen(mu):
         return rng.choice([b for b in BOUNDED if subsumes(b, mu) and b != ZERO])
     return Shape(s.graph, {v: widen(m) for v, m in s.node_mult.items()},
-                 {k: widen(m) for k, m in s.out_mult.items()},
-                 {k: widen(m) for k, m in s.in_mult.items()})
+                 {k: widen(m) for k, m in s.slots.items()})
 
 
 def test_shape_subsumption_order_laws(rng):
@@ -184,6 +183,36 @@ def test_shape_subsumption_order_laws(rng):
         assert shape_subsumes(t, s)[0]
         assert shape_subsumes(u, t)[0]
         assert shape_subsumes(u, s)[0]                   # transitive
+
+
+def edgewise_below(s, t, phi):
+    """Oracle: the multiplicity check edge by edge, both slots of each
+    edge looked up through the label sets at both ends."""
+    if not all(subsumes(t.node_mult[phi[v]], s.node_mult[v]) for v in s.graph.nodes):
+        return False
+    for (v, l, w) in s.graph.binary_edges():
+        pairs = [((v, "out", l, s.class_key(w)), (phi[v], "out", l, t.class_key(phi[w]))),
+                 ((w, "in", l, s.class_key(v)), (phi[w], "in", l, t.class_key(phi[v])))]
+        for ks, kt in pairs:
+            if not subsumes(t.slots.get(kt, ZERO), s.slots.get(ks, ZERO)):
+                return False
+    return True
+
+
+def test_compare_shapes_agrees_with_edgewise_check(rng):
+    hits = [0, 0]
+    for _ in range(300):
+        g = random_graph(rng, max_nodes=6)
+        s = abstract(g)
+        base = abstract(permuted(rng, g))
+        for t in (relaxed(rng, s), relaxed(rng, base), base):
+            for a, b in ((s, t), (t, s)):
+                isos = [dict(phi) for phi in isomorphisms(a.graph, b.graph)]
+                expect = any(edgewise_below(a, b, phi) for phi in isos)
+                got = compare_shapes(a, b)[0] is not None
+                assert got == expect
+                hits[got] += 1
+    assert min(hits) > 100
 
 
 # --- certificates and covering -------------------------------------------

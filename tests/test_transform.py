@@ -22,21 +22,20 @@ READER, ERASER, CREATOR, EMBARGO = "reader", "eraser", "creator", "embargo"
 def concrete_shape(g):
     """The exact shape of a concrete graph: every node kept apart."""
     node_mult = {v: ONE for v in g.nodes}
-    out_m, in_m = {}, {}
-    classes = {frozenset(g.node_labels(v)) for v in g.nodes}
+    slots = {}
     for v in g.nodes:
         for (a, l, b) in g.binary_edges():
             if a == v:
-                key = (v, l, g.node_labels(b))
-                out_m[key] = approx_card(len(
+                key = (v, "out", l, g.node_labels(b))
+                slots[key] = approx_card(len(
                     [e for e in g.binary_edges()
                      if e[0] == v and e[1] == l and g.node_labels(e[2]) == g.node_labels(b)]))
             if b == v:
-                key = (v, l, g.node_labels(a))
-                in_m[key] = approx_card(len(
+                key = (v, "in", l, g.node_labels(a))
+                slots[key] = approx_card(len(
                     [e for e in g.binary_edges()
                      if e[2] == v and e[1] == l and g.node_labels(e[0]) == g.node_labels(a)]))
-    s = Shape(g, node_mult, out_m, in_m)
+    s = Shape(g, node_mult, slots)
     s.validate()
     return s
 
@@ -235,8 +234,7 @@ def optional_remainder():
     g = graph(range(2), [(0, L, 0), (1, P, 1), (1, at, 0)])
     s = abstract(g)
     v = next(v for v in s.graph.nodes if s.class_key(v) == frozenset({P}))
-    s = Shape(s.graph, {**s.node_mult, v: ONE_PLUS}, dict(s.out_mult),
-              dict(s.in_mult))
+    s = Shape(s.graph, {**s.node_mult, v: ONE_PLUS}, dict(s.slots))
     r = Rule("grab", {0: READER, 1: READER},
              ((0, L, 0, READER), (1, P, 1, READER), (1, at, 0, READER)))
     return r, s
@@ -279,7 +277,7 @@ def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
         for mat in mats:
             mat.shape.validate()
         for x, y in itertools.combinations(mats, 2):
-            assert x != y   # graph, node_mult, out_mult, in_mult and match
+            assert x != y   # graph, node_mult, slots and match
 
 
 def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
@@ -291,6 +289,8 @@ def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
             except ApplyInfeasible:
                 continue
             once = normalise(t)
+            t.validate()      # slot keys are exactly the supported ones,
+            once.validate()   # which subsumption's slot-wise check needs
             merged += len(once.graph.nodes) < len(t.graph.nodes)
             assert normalise(once) == once
     assert merged >= 30
@@ -321,8 +321,8 @@ def test_apply_label_flip_rekeys_slots():
     assert t.class_key(flipped) == frozenset({C})
     # the incoming slot of the flipped node keeps its old class key
     pred = next(v for v in t.graph.nodes
-                if (v, n, frozenset({C})) in t.out_mult)
-    assert t.out_mult[(pred, n, frozenset({C}))] == ONE
+                if (v, "out", n, frozenset({C})) in t.slots)
+    assert t.slots[(pred, "out", n, frozenset({C}))] == ONE
 
 
 def test_normalise_merges_equal_signatures():
