@@ -1,10 +1,12 @@
 """The exploration loop: freshness, statistics, strategies, modes."""
 
+import itertools
+
 import pytest
 
 from shapespace import (ExploreConfig, ExploreError, TransitionSystem,
-                        covered, explore, load_bundled, parse_grammar,
-                        stats_report, strictly_isomorphic)
+                        compare_shapes, covered, explore, load_bundled,
+                        parse_grammar, stats_report, strictly_isomorphic)
 from shapespace.explore import make_engine
 
 COUNTER = load_bundled("counter")
@@ -173,6 +175,23 @@ def test_abstract_states_cover_concrete_reachables():
     shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
     for g in concrete_ts.states.values():
         assert covered(g, shapes)
+
+
+def test_rewriting_is_monotone_under_subsumption():
+    # If s is below t, every successor of s is below some successor of
+    # t: this is what makes dropping and discarding subsumed states sound.
+    ts, _ = run(FIREWALL2, engine="abstract", subsumption=False)
+    engine = make_engine(FIREWALL2, "abstract")
+    succ = {i: [x for _, x in engine.successors(s)] for i, s in ts.states.items()}
+    pairs = 0
+    for i, j in itertools.permutations(ts.states, 2):
+        s, t = ts.states[i], ts.states[j]
+        if s == t or compare_shapes(s, t)[0] is None:
+            continue
+        pairs += 1
+        for x in succ[i]:
+            assert any(compare_shapes(x, y)[0] is not None for y in succ[j]), (i, j)
+    assert pairs >= 20
 
 
 # --- reporting ------------------------------------------------------------
