@@ -6,12 +6,12 @@ from .multiplicity import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
                            approx_card, bounded, from_text, positive_part,
                            subsumes, subtract_one)
 from .graphs import (Graph, GraphError, Label, Morphism, binary, certificate,
-                     find_isomorphism, graph, is_morphism, isomorphisms, unary)
-from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
-                     label_partition, neighbourhood_partition, normalise,
+                     find_isomorphism, graph, isomorphisms, unary)
+from .shapes import (Branch, Shape, ShapeError, abstract, compare_shapes,
+                     covered, neighbourhood_partition, normalise,
                      shape_subsumes, strictly_isomorphic)
-from .rules import (ApplyInfeasible, Materialisation, Rule, RuleError, apply,
-                    concrete_apply, concrete_matches, materialise, prematch)
+from .rules import (ApplyInfeasible, Rule, RuleError, apply, concrete_apply,
+                    concrete_matches, materialise, prematch)
 from .explore import (CSV_HEADER, ExplorationStats, ExploreConfig,
                       ExploreError, TransitionSystem, explore, stats_report)
 from .grammar import (Grammar, GrammarError, bundled_grammar_names,

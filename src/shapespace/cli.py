@@ -23,7 +23,10 @@ from .shapes import abstract
 def _load(path_text: str):
     path = Path(path_text)
     if path.is_file():
-        return parse_grammar(path.read_text(encoding="utf-8"), name=path.stem)
+        try:
+            return parse_grammar(path.read_text(encoding="utf-8"), name=path.stem)
+        except UnicodeDecodeError as exc:
+            raise GrammarError(f"{path_text}: not UTF-8 text ({exc})") from None
     if not path.suffix and "/" not in path_text:
         return load_bundled(path_text)
     raise GrammarError(f"no such grammar file: {path_text}")

@@ -44,6 +44,10 @@ class ExploreConfig:
             raise ExploreError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("full", "reach"):
             raise ExploreError(f"unknown mode {self.mode!r}")
+        for name in ("max_states", "max_depth", "timeout"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ExploreError(f"{name} must not be negative, got {value}")
 
 
 @dataclass
@@ -163,9 +167,9 @@ class AbstractEngine:
                     mats = materialise(rule, m, s)
                 except ShapeError as exc:
                     raise ExploreError(f"rule {rule.name!r}: {exc}") from None
-                for mat in mats:
+                for branch, match in mats:
                     try:
-                        t = apply(rule, mat)
+                        t = apply(rule, branch, match)
                     except ApplyInfeasible:
                         continue
                     out.append(((rule.name, m.as_tuple()), normalise(t)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 
 class GraphError(ValueError):
@@ -116,31 +115,8 @@ class Morphism:
 
     node_map: dict
 
-    def __call__(self, v):
-        return self.node_map[v]
-
-    def is_injective(self) -> bool:
-        return len(set(self.node_map.values())) == len(self.node_map)
-
-    def inverse(self) -> "Morphism":
-        if not self.is_injective():
-            raise GraphError("non-injective morphism has no inverse")
-        return Morphism({w: v for v, w in self.node_map.items()})
-
     def as_tuple(self):
         return tuple(sorted(self.node_map.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, Morphism) and self.node_map == other.node_map
-
-
-def is_morphism(m: Morphism, g: Graph, h: Graph) -> bool:
-    """Check the structure/label preservation condition of ``m : g -> h``."""
-    if set(m.node_map) != set(g.nodes):
-        return False
-    if not set(m.node_map.values()) <= set(h.nodes):
-        return False
-    return all((m(v), l, m(w)) in h.edges for (v, l, w) in g.edges)
 
 
 # --- canonical form -------------------------------------------------------
@@ -295,14 +271,3 @@ def find_isomorphism(g: Graph, h: Graph):
         return Morphism(m)
     return None
 
-
-def brute_force_isomorphism(g: Graph, h: Graph):
-    """Oracle: enumerate all bijections (only sensible for tiny graphs)."""
-    if len(g.nodes) != len(h.nodes):
-        return None
-    gs = sorted(g.nodes)
-    for perm in permutations(sorted(h.nodes)):
-        m = Morphism(dict(zip(gs, perm)))
-        if is_morphism(m, g, h) and is_morphism(m.inverse(), h, g):
-            return m
-    return None

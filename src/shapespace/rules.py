@@ -6,8 +6,10 @@ embargo elements form a negative application condition (concrete
 engine only).  The abstract pipeline is prematch / materialise /
 apply, then ``shapes.normalise``; the concrete pipeline is match / apply.
 
-Materialisation builds only valid, pairwise distinct branches; the
-tests assert both, with ``Shape.validate`` and equality.
+A rewrite branch is a ``shapes.Branch`` record: ``materialise`` builds
+one per branch, ``apply`` rewrites it in place, and ``normalise`` builds
+the successor's one Shape and Graph from it.  Materialisation builds
+only valid, pairwise distinct branches.
 
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
@@ -16,13 +18,14 @@ incident edges.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, Morphism, graph, morphisms
 from . import multiplicity as mult
 from .multiplicity import (Multiplicity, add, bounded, positive_part,
                            subtract_one)
-from .shapes import Shape, ShapeError, edge_slots
+from .shapes import Branch, Shape, ShapeError, edge_slots
 
 READER = "reader"
 ERASER = "eraser"
@@ -79,6 +82,7 @@ class Rule:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
         self._lhs = graph(self.nodes_with(READER, ERASER),
                           ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
+        self._lhs_binary = self._lhs.binary_edges()
 
     def nodes_with(self, *roles):
         return sorted(v for v, r in self.node_roles.items() if r in roles)
@@ -92,14 +96,6 @@ class Rule:
     @property
     def has_nac(self) -> bool:
         return bool(self.nodes_with(EMBARGO)) or bool(self.edges_with(EMBARGO))
-
-
-@dataclass
-class Materialisation:
-    """A partially materialised shape plus the now-concrete injective match."""
-
-    shape: Shape
-    match: Morphism
 
 
 # --- concrete engine ------------------------------------------------------
@@ -156,29 +152,23 @@ def concrete_apply(rule: Rule, m: Morphism, g: Graph) -> Graph:
 def prematch(rule: Rule, s: Shape):
     """Possibly non-injective morphisms of the LHS into the shape graph
     whose shared images remain multiplicity-feasible."""
-    lhs = rule.lhs()
     out = []
-    for m in morphisms(lhs, s.graph, injective=False):
-        if _prematch_feasible(lhs, m, s):
+    for m in morphisms(rule.lhs(), s.graph, injective=False):
+        if _prematch_feasible(rule, m, s):
             out.append(Morphism(m))
     out.sort(key=lambda m: m.as_tuple())
     return out
 
 
-def _prematch_feasible(lhs: Graph, m: dict, s: Shape) -> bool:
-    images = {}
-    for a in lhs.nodes:
-        images.setdefault(m[a], []).append(a)
-    for u, grp in images.items():
-        if len(grp) > s.node_mult[u].max_count:
+def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
+    for u, k in Counter(m.values()).items():
+        if k > s.node_mult[u].max_count:
             return False
-    shared = {}
-    for (a, l, b) in lhs.binary_edges():
-        shared.setdefault((m[a], l, m[b]), []).append((a, b))
-    for (v, l, w), grp in shared.items():
-        if len(grp) > 1 and len(grp) > min(
+    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule._lhs_binary)
+    for (v, l, w), k in shared.items():
+        if k > 1 and k > min(
                 s.node_mult[slot[0]].max_count * s.slots[slot].max_count
-                for slot in edge_slots(s.graph.labels, v, l, w)):
+                for slot in edge_slots(s.labels, v, l, w)):
             return False
     return True
 
@@ -194,7 +184,8 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
     over (a) whether each remainder is present and (b) how the unmatched
     adjacency of the split-off nodes distributes, so that every
     concretisation of ``s`` in which ``m`` extends to an injective
-    concrete match is covered by some returned branch.
+    concrete match is covered by some returned branch.  Each entry is a
+    ``(Branch, match)`` pair; every branch shares the one concrete match.
 
     ``m`` comes from ``prematch``, so no node has more LHS nodes mapped
     onto it than its multiplicity allows.  Every branch is built valid
@@ -202,10 +193,9 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
     the remainder choices of the split nodes (in node order), then in
     depth-first order of slot choices.
     """
-    lhs = rule.lhs()
     phi = m.node_map
     groups = {}
-    for a in sorted(lhs.nodes):
+    for a in sorted(rule.lhs().nodes):
         groups.setdefault(phi[a], []).append(a)
     split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
 
@@ -227,19 +217,24 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
         remainders.append(([None] if lo == 0 else [])
                           + ([positive_part(bounded(lo, hi))] if hi >= 1 else []))
 
-    labels = dict(s.graph.labels)   # every node id a branch may use
+    labels = dict(s.labels)   # every node id a branch may use
     for u, (ps, r) in parts.items():
         labels.update((p, labels[u]) for p in (*ps, r))
     pinned = {}      # slot of a part -> matched neighbours it must keep
-    for (x, l, y) in lhs.binary_edges():
+    for (x, l, y) in rule._lhs_binary:
         out_slot, in_slot = edge_slots(labels, assign[x], l, assign[y])
         pinned.setdefault(out_slot, set()).add(assign[y])
         pinned.setdefault(in_slot, set()).add(assign[x])
     neighbours = {}  # slot of ``s`` -> nodes at the other end of its edges
-    for (v, l, w) in s.graph.binary_edges():
+    kept = []        # edges between nodes that are not split
+    for (v, l, w) in s.graph.edges:
+        if l.is_unary:
+            continue
         out_slot, in_slot = edge_slots(labels, v, l, w)
         neighbours.setdefault(out_slot, []).append(w)
         neighbours.setdefault(in_slot, []).append(v)
+        if v not in parts and w not in parts:
+            kept.append((v, l, w))
     own = {u: [] for u in split}   # split node -> its slots, in slot order
     untouched = []                 # the other nodes' slots
     for slot, mu in sorted(s.slots.items(), key=_slot_order):
@@ -247,14 +242,12 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
             own[slot[0]].append((*slot[1:], mu))
         else:
             untouched.append((slot, mu))
-    kept = [e for e in s.graph.binary_edges()
-            if e[0] not in parts and e[2] not in parts]
 
     out = []
     for combo in itertools.product(*remainders):
-        for shape in _branches(s, parts, dict(zip(split, combo)), labels, own,
-                               pinned, neighbours, untouched, kept):
-            out.append(Materialisation(shape, match))
+        for branch in _branches(s, parts, dict(zip(split, combo)), labels, own,
+                                pinned, neighbours, untouched, kept):
+            out.append((branch, match))
             if len(out) > MAX_BRANCHES:
                 raise ShapeError("materialisation branch explosion "
                                  f"(over {MAX_BRANCHES} branches)")
@@ -295,7 +288,6 @@ def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
                     return
                 axes.append((p, d, l, key, options))
 
-    loops = {(x, l, x) for x in node_mult for l in labels[x]}
     for choice in _consistent_choices(axes, labels, [p for u in own for p in members[u]]):
         slots = {}
         edges = set(kept)
@@ -309,7 +301,7 @@ def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
         if any(mu.lo > 0 and slot not in supported for slot, mu in untouched):
             continue
         slots.update((slot, mu) for slot, mu in untouched if slot in supported)
-        yield Shape(graph(node_mult, edges | loops), dict(node_mult), slots)
+        yield Branch(dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots)
 
 
 def _consistent_choices(axes, labels, new_nodes):
@@ -393,18 +385,11 @@ def _subsets(items):
 # --- abstract engine: apply ----------------------------------------------
 
 
-def apply(rule: Rule, mat: Materialisation) -> Shape:
-    """Rewrite the materialised shape at its concrete match."""
-    s = mat.shape
-    phi = dict(mat.match.node_map)
-    nodes = set(s.graph.nodes)
-    labels = {v: s.class_key(v) for v in nodes}
-    edges = set(s.graph.binary_edges())
-    node_mult = dict(s.node_mult)
-    slots = dict(s.slots)
-
-    def is_concrete(v):
-        return node_mult[v].is_concrete
+def apply(rule: Rule, branch: Branch, match: Morphism) -> Branch:
+    """Rewrite ``branch`` in place at its concrete match; returns it."""
+    phi = dict(match.node_map)
+    node_mult, labels = branch.node_mult, branch.labels
+    edges, slots = branch.edges, branch.slots
 
     def slot_dec(slot, exact):
         cur = slots.get(slot)
@@ -429,7 +414,7 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         if (v, l, w) not in edges:
             return
         edges.discard((v, l, w))
-        exact = is_concrete(v) and is_concrete(w)
+        exact = node_mult[v].is_concrete and node_mult[w].is_concrete
         for slot in edge_slots(labels, v, l, w):
             slot_dec(slot, exact)
 
@@ -444,18 +429,16 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         for (v, l, w) in sorted(edges, key=lambda e: (e[0], e[1].text, e[2])):
             if v == x or w == x:
                 remove_edge(v, l, w)
-        nodes.discard(x)
         labels.pop(x)
         node_mult.pop(x)
         for slot in [k for k in slots if k[0] == x]:
             slots.pop(slot)
 
     # 3. fresh creator nodes
-    fresh = itertools.count(max(nodes, default=-1) + 1)
+    fresh = itertools.count(max(node_mult, default=-1) + 1)
     for a in rule.nodes_with(CREATOR):
         x = next(fresh)
         phi[a] = x
-        nodes.add(x)
         node_mult[x] = mult.ONE
         labels[x] = frozenset(l for (v, l, w, _) in rule.edges_with(CREATOR)
                               if l.is_unary and v == a)
@@ -464,9 +447,7 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
     # is the relabelled node moves one edge to the new label set
     changes = {}
     for (a, l, b, role) in rule.edges:
-        if not l.is_unary or rule.node_roles[a] != READER:
-            continue
-        if role in (ERASER, CREATOR):
+        if l.is_unary and rule.node_roles[a] == READER and role in (ERASER, CREATOR):
             removed, added = changes.setdefault(phi[a], (set(), set()))
             (removed if role == ERASER else added).add(l)
     for x, (removed, added) in sorted(changes.items()):
@@ -477,7 +458,7 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
         for (v, l, w) in sorted(edges, key=lambda e: (e[0], e[1].text, e[2])):
             if v != w and x in (v, w):
                 far = edge_slots(labels, v, l, w)[0 if w == x else 1]
-                exact = is_concrete(v) and is_concrete(w)
+                exact = node_mult[v].is_concrete and node_mult[w].is_concrete
                 slot_dec(far, exact)
                 slot_inc((*far[:3], new_key), exact)
         labels[x] = new_key
@@ -500,9 +481,4 @@ def apply(rule: Rule, mat: Materialisation) -> Shape:
             raise ApplyInfeasible(f"slot without support at node {slot[0]}")
     for slot in support:
         slots.setdefault(slot, mult.ONE_PLUS)
-
-    all_edges = set(edges)
-    for x in nodes:
-        for l in labels[x]:
-            all_edges.add((x, l, x))
-    return Shape(graph(nodes, all_edges), node_mult, slots)
+    return branch

@@ -6,7 +6,8 @@ label equality (radius-0 neighbourhood equivalence), so a similarity
 block is identified by its unary label set.  Edge multiplicities live
 in one table of slots: a slot is ``(node, direction, binary label,
 label set at the other end)`` with direction ``"out"`` or ``"in"``, and
-each binary edge supports two slots, given by ``edge_slots``.
+each binary edge supports two slots, given by ``edge_slots``.  A
+``Branch`` holds the same data as plain dicts, for the rewrite pipeline.
 """
 
 from __future__ import annotations
@@ -24,46 +25,37 @@ class ShapeError(ValueError):
     pass
 
 
-def label_partition(g: Graph):
-    """Radius-0 blocks: nodes grouped by unary label set."""
-    blocks = {}
-    for v in g.nodes:
-        blocks.setdefault(g.node_labels(v), set()).add(v)
-    return tuple(sorted((frozenset(b) for b in blocks.values()),
-                        key=lambda b: sorted(b)))
-
-
 def edge_slots(labels, v, l, w):
     """The two slots of the edge ``(v, l, w)``: ``v``'s out-slot and
     ``w``'s in-slot; ``labels`` maps nodes to their label sets."""
     return (v, "out", l, labels[w]), (w, "in", l, labels[v])
 
 
-def _edge_counts(g: Graph) -> dict:
-    """Node -> edge counts keyed by the rest of the slot key,
-    ``(direction, binary label, label set at the other end)``."""
+def _blocks(g: Graph):
+    """The radius-1 blocks of ``g``'s nodes, ordered by least member.
+
+    Nodes share a block when they have the same label set and the same
+    approximated edge counts per rest of slot key, ``(direction, binary
+    label, label set at the other end)``.  Each block comes with that
+    label set and those ``(rest, count)`` pairs.
+    """
     counts = {v: Counter() for v in g.nodes}
     for (v, l, w) in g.edges:
         if not l.is_unary:
             for slot in edge_slots(g.labels, v, l, w):
                 counts[slot[0]][slot[1:]] += 1
-    return counts
+    blocks = {}
+    for v in g.nodes:
+        signature = frozenset((rest, approx_card(n)) for rest, n in counts[v].items())
+        blocks.setdefault((g.labels[v], signature), set()).add(v)
+    return sorted(((frozenset(b), sig) for sig, b in blocks.items()),
+                  key=lambda item: min(item[0]))
 
 
 def neighbourhood_partition(g: Graph):
-    """Radius-0 and radius-1 partitions of ``g``'s nodes.
-
-    Radius 1 refines radius 0 by equality of the per-block approximated
-    in/out edge counts, for every binary label and every radius-0 block.
-    """
-    counts = _edge_counts(g)
-    refined = {}
-    for v in g.nodes:
-        signature = frozenset((slot, approx_card(n)) for slot, n in counts[v].items())
-        refined.setdefault((g.labels[v], signature), set()).add(v)
-    level1 = tuple(sorted((frozenset(b) for b in refined.values()),
-                          key=lambda b: sorted(b)))
-    return label_partition(g), level1
+    """The radius-1 partition of ``g``'s nodes, blocks ordered by least
+    member (``_blocks``)."""
+    return tuple(block for block, _ in _blocks(g))
 
 
 @dataclass
@@ -76,23 +68,30 @@ class Shape:
     node the shape node stands for has.  It is sparse: its keys are
     exactly the slots that some shape edge supports (``edge_slots``),
     and a missing slot denotes multiplicity 0.  Shapes are immutable by
-    convention after construction.  Normal shapes (``normalise``) are
-    strictly isomorphic exactly when equal, and equal shapes have equal
-    graphs, which they hash by.
+    convention after construction, and hash by all three fields.  Normal
+    shapes (``normalise``) are strictly isomorphic exactly when equal.
+    ``labels`` and ``edges`` give a shape the fields of a ``Branch``.
     """
 
     graph: Graph
     node_mult: dict = field(default_factory=dict)
     slots: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.graph, frozenset(self.node_mult.items()),
+                     frozenset(self.slots.items())))
+
     def __hash__(self):
-        return hash(self.graph)
+        return self._hash
 
-    def class_key(self, v) -> frozenset:
-        return self.graph.node_labels(v)
+    @property
+    def labels(self) -> dict:
+        return self.graph.labels
 
-    def is_concrete(self, v) -> bool:
-        return self.node_mult[v].is_concrete
+    @property
+    def edges(self) -> frozenset:
+        return self.graph.binary_edges()
 
     def validate(self):
         """Raise ShapeError when the shape invariants do not hold."""
@@ -104,8 +103,8 @@ class Shape:
                 raise ShapeError(f"zero-population node {v} present")
         support = set()
         for (v, l, w) in g.binary_edges():
-            support.add((v, "out", l, self.class_key(w)))
-            support.add((w, "in", l, self.class_key(v)))
+            support.add((v, "out", l, g.labels[w]))
+            support.add((w, "in", l, g.labels[v]))
         if not support <= self.slots.keys():
             raise ShapeError("an edge lacks a slot multiplicity")
         for (v, d, l, key), m in self.slots.items():
@@ -121,24 +120,43 @@ class Shape:
                 f"{len(self.graph.binary_edges())} edges)")
 
 
+@dataclass
+class Branch:
+    """A shape under construction, as plain data.  ``materialise`` makes
+    one per rewrite branch, ``apply`` rewrites it in place, and
+    ``normalise`` reads it and builds the one Shape of the successor."""
+
+    node_mult: dict   # node -> multiplicity
+    labels: dict      # node -> unary label set
+    edges: set        # binary edges (v, l, w)
+    slots: dict       # slot key -> multiplicity
+
+    def shape(self) -> Shape:
+        """The Shape of this branch, with the same node ids."""
+        loops = [(v, l, v) for v, ls in self.labels.items() for l in ls]
+        return Shape(graph(self.node_mult, [*self.edges, *loops]),
+                     self.node_mult, self.slots)
+
+
 def abstract(g: Graph, normal: bool = False) -> Shape:
     """Fold the radius-1 equivalence classes of ``g`` into a shape, its
     nodes numbered in order of their least member or, if ``normal``, in
     normal form (``normalise``)."""
-    _, level1 = neighbourhood_partition(g)
-    counts = _edge_counts(g)
-    node_of = {v: i for i, block in enumerate(level1) for v in block}
-    edges = {(node_of[v], l, node_of[w]) for (v, l, w) in g.edges}
-    node_mult, slots = {}, {}
-    for i, block in enumerate(level1):
+    blocks = _blocks(g)
+    node_of = {v: i for i, (block, _) in enumerate(blocks) for v in block}
+    edges = {(node_of[v], l, node_of[w]) for (v, l, w) in g.edges if not l.is_unary}
+    node_mult, labels, slots = {}, {}, {}
+    for i, (block, (key, counts)) in enumerate(blocks):
         node_mult[i] = approx_card(len(block))
-        slots.update(((i, *k), approx_card(n)) for k, n in counts[min(block)].items())
-    s = Shape(graph(node_mult, edges), node_mult, slots)
-    return normalise(s) if normal else s
+        labels[i] = key
+        slots.update(((i, *rest), mu) for rest, mu in counts)
+    b = Branch(node_mult, labels, edges, slots)
+    return normalise(b) if normal else b.shape()
 
 
-def normalise(s: Shape) -> Shape:
-    """Fold same-signature nodes together in one pass; idempotent.
+def normalise(b) -> Shape:
+    """Fold same-signature nodes of a Branch (or Shape) together in one
+    pass; idempotent.
 
     A node's signature is its label set, its out-slots and its in-slots,
     which are keyed by label sets, never by node ids.  Nodes are
@@ -146,23 +164,24 @@ def normalise(s: Shape) -> Shape:
     representative's slots, so nodes that differ before the pass still
     differ after it, and a second pass would merge nothing.
     """
-    own = {v: [] for v in s.graph.nodes}   # node -> its (slot key rest, mu)
-    for (v, *rest), mu in s.slots.items():
+    own = {v: [] for v in b.node_mult}   # node -> its (slot key rest, mu)
+    for (v, *rest), mu in b.slots.items():
         own[v].append((rest, mu))
     groups = {}
-    for v in sorted(s.graph.nodes):
-        sig = (tuple(sorted(l.text for l in s.class_key(v))),
+    for v in sorted(b.node_mult):
+        sig = (tuple(sorted(l.text for l in b.labels[v])),
                _slot_items(own[v], "out"), _slot_items(own[v], "in"))
         groups.setdefault(sig, []).append(v)
     ordered = [groups[sig] for sig in sorted(groups)]
     new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
 
-    node_mult, slots = {}, {}
+    node_mult, labels, slots = {}, {}, {}
     for i, grp in enumerate(ordered):
-        node_mult[i] = functools.reduce(mult.add, (s.node_mult[v] for v in grp))
+        node_mult[i] = functools.reduce(mult.add, (b.node_mult[v] for v in grp))
+        labels[i] = b.labels[grp[0]]
         slots.update(((i, *rest), mu) for rest, mu in own[grp[0]])
-    edges = {(new_id[v], l, new_id[w]) for (v, l, w) in s.graph.edges}
-    return Shape(graph(node_mult, edges), node_mult, slots)
+    edges = {(new_id[v], l, new_id[w]) for (v, l, w) in b.edges}
+    return Branch(node_mult, labels, edges, slots).shape()
 
 
 def _slot_items(entries, direction):

@@ -1,10 +1,12 @@
-"""Shared test fixtures: deterministic random graph generation."""
+"""Shared test fixtures: deterministic random graph generation, and
+the brute-force morphism and isomorphism oracles."""
 
 import random
+from itertools import permutations
 
 import pytest
 
-from shapespace import Label, binary, graph, unary
+from shapespace import GraphError, Label, Morphism, binary, graph, unary
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -36,3 +38,31 @@ def permuted(rng: random.Random, g):
 @pytest.fixture
 def rng():
     return random.Random(20260825)
+
+
+def is_morphism(m: Morphism, g, h) -> bool:
+    """Check the structure/label preservation condition of ``m : g -> h``."""
+    if set(m.node_map) != set(g.nodes):
+        return False
+    if not set(m.node_map.values()) <= set(h.nodes):
+        return False
+    phi = m.node_map
+    return all((phi[v], l, phi[w]) in h.edges for (v, l, w) in g.edges)
+
+
+def inverse(m: Morphism) -> Morphism:
+    if len(set(m.node_map.values())) != len(m.node_map):
+        raise GraphError("non-injective morphism has no inverse")
+    return Morphism({w: v for v, w in m.node_map.items()})
+
+
+def brute_force_isomorphism(g, h):
+    """Oracle: enumerate all bijections (only sensible for tiny graphs)."""
+    if len(g.nodes) != len(h.nodes):
+        return None
+    gs = sorted(g.nodes)
+    for perm in permutations(sorted(h.nodes)):
+        m = Morphism(dict(zip(gs, perm)))
+        if is_morphism(m, g, h) and is_morphism(inverse(m), h, g):
+            return m
+    return None

@@ -15,10 +15,9 @@ from shapespace import (BOUNDED, ExploreConfig, abstract, add, bounded,
                         certificate, covered, explore, find_isomorphism,
                         load_bundled, normalise, stats_report, strictly_isomorphic,
                         subsumes, subtract_one, shape_subsumes)
-from shapespace.graphs import brute_force_isomorphism
 from shapespace.multiplicity import OMEGA
 
-from conftest import permuted, random_graph
+from conftest import brute_force_isomorphism, permuted, random_graph
 from test_multiplicity import members, smallest_enclosing
 from test_shapes import relaxed
 

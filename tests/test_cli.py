@@ -84,6 +84,23 @@ def test_unwritable_output_exits_1(flag, tmp_path, capsys):
     assert "no-such-dir" in err[0]
 
 
+@pytest.mark.parametrize("grammar_bytes, args", [
+    (None, ["--max-depth", "-1"]),
+    (None, ["--max-states", "-5"]),
+    (None, ["--timeout", "-1"]),
+    (b"\xff\xfe", []),
+], ids=["max-depth", "max-states", "timeout", "non-utf8-file"])
+def test_bad_input_exits_1(grammar_bytes, args, tmp_path, capsys):
+    grammar = "counter"
+    if grammar_bytes is not None:
+        grammar = tmp_path / "bad.gg"
+        grammar.write_bytes(grammar_bytes)
+    assert cli_main(["explore", str(grammar), *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert ("UTF-8" if grammar_bytes else "must not be negative") in err[0]
+
+
 def test_materialisation_branch_cap_exits_1(monkeypatch, capsys):
     monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 0)
     assert cli_main(["explore", "counter"]) == 1

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from shapespace import (ExploreConfig, ExploreError, TransitionSystem,
+from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
                         compare_shapes, covered, explore, load_bundled,
                         parse_grammar, stats_report, strictly_isomorphic)
 from shapespace.explore import make_engine
@@ -175,6 +175,26 @@ def test_abstract_states_cover_concrete_reachables():
     shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
     for g in concrete_ts.states.values():
         assert covered(g, shapes)
+
+
+def test_one_graph_built_per_abstract_successor(monkeypatch):
+    # Branches are plain records until ``normalise`` builds the
+    # successor's Shape, so each successor costs one Graph.
+    grammar = load_bundled("firewall-4")
+    ts, _ = run(grammar, strategy="dfs", subsumption=True)
+    engine = make_engine(grammar, "abstract")
+    built = 0
+    check = Graph.__post_init__
+
+    def counting(g):
+        nonlocal built
+        built += 1
+        check(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    successors = sum(len(engine.successors(s)) for s in ts.states.values())
+    assert successors > 2000
+    assert built == successors
 
 
 def test_rewriting_is_monotone_under_subsumption():

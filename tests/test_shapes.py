@@ -1,5 +1,6 @@
 """Neighbourhood partitions, abstraction, shape subsumption."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Shape,
                         ShapeError, abstract, binary, certificate,
                         compare_shapes, covered, graph, isomorphisms,
-                        label_partition, neighbourhood_partition, normalise,
-                        shape_subsumes, strictly_isomorphic, subsumes, unary)
+                        neighbourhood_partition, normalise, shape_subsumes,
+                        strictly_isomorphic, subsumes, unary)
 
 from conftest import permuted, random_graph
 
@@ -42,16 +43,9 @@ def chain(k):
 # --- partitions -----------------------------------------------------------
 
 
-def test_label_partition_groups_by_label_set():
-    g = two_location_world()
-    blocks = {frozenset(b) for b in label_partition(g)}
-    assert blocks == {frozenset({0}), frozenset({1}), frozenset({2, 3, 4, 5, 6})}
-
-
 def test_neighbourhood_partition_splits_by_adjacent_blocks():
     g = two_location_world()
-    _, level1 = neighbourhood_partition(g)
-    blocks = {frozenset(b) for b in level1}
+    blocks = {frozenset(b) for b in neighbourhood_partition(g)}
     # packets split by which location they sit at; locations stay apart
     assert frozenset({2, 3, 4}) in blocks
     assert frozenset({5, 6}) in blocks
@@ -62,8 +56,7 @@ def test_neighbourhood_partition_uses_one_refinement_step():
     # On a chain, all middle cells coincide: a fixpoint refinement would
     # separate every position and the abstraction would grow unboundedly.
     g = chain(6)
-    _, level1 = neighbourhood_partition(g)
-    blocks = {frozenset(b) for b in level1}
+    blocks = {frozenset(b) for b in neighbourhood_partition(g)}
     assert frozenset({1, 2, 3}) in blocks       # middle cells collapse
     assert frozenset({0}) in blocks             # head: no incoming n
     assert frozenset({4}) in blocks             # precedes the marked cell
@@ -74,8 +67,8 @@ def test_partition_invariant_under_renaming(rng):
     for _ in range(100):
         g = random_graph(rng)
         h = permuted(rng, g)
-        sizes = sorted(len(b) for b in neighbourhood_partition(g)[1])
-        assert sizes == sorted(len(b) for b in neighbourhood_partition(h)[1])
+        sizes = sorted(len(b) for b in neighbourhood_partition(g))
+        assert sizes == sorted(len(b) for b in neighbourhood_partition(h))
 
 
 # --- abstraction ----------------------------------------------------------
@@ -86,22 +79,22 @@ def test_abstract_block_multiplicities():
     sizes = sorted(s.node_mult.values(), key=lambda m: (m.lo, m.hi))
     assert sizes == [ONE, ONE, TWO_PLUS, TWO_PLUS]
     for v in s.graph.nodes:
-        assert s.is_concrete(v) == (s.node_mult[v] == ONE)
+        assert s.node_mult[v].is_concrete == (s.node_mult[v] == ONE)
 
 
 def test_abstract_edge_multiplicities():
     s = abstract(two_location_world())
     outer_packets = next(v for v in s.graph.nodes
-                         if s.class_key(v) == frozenset({P})
+                         if s.labels[v] == frozenset({P})
                          and s.node_mult[v] == TWO_PLUS
                          and any(e[0] == v and e[1] == at and
-                                 s.class_key(e[2]) == frozenset({L, O})
+                                 s.labels[e[2]] == frozenset({L, O})
                                  for e in s.graph.binary_edges()))
     outer_loc = next(v for v in s.graph.nodes
-                     if s.class_key(v) == frozenset({L, O}))
+                     if s.labels[v] == frozenset({L, O}))
     # each packet sits at exactly one place; the location hosts three
-    assert s.slots[outer_packets, "out", at, s.class_key(outer_loc)] == ONE
-    assert s.slots[outer_loc, "in", at, s.class_key(outer_packets)] == TWO_PLUS
+    assert s.slots[outer_packets, "out", at, s.labels[outer_loc]] == ONE
+    assert s.slots[outer_loc, "in", at, s.labels[outer_packets]] == TWO_PLUS
 
 
 def test_abstract_validates_and_is_stable(rng):
@@ -191,8 +184,8 @@ def edgewise_below(s, t, phi):
     if not all(subsumes(t.node_mult[phi[v]], s.node_mult[v]) for v in s.graph.nodes):
         return False
     for (v, l, w) in s.graph.binary_edges():
-        pairs = [((v, "out", l, s.class_key(w)), (phi[v], "out", l, t.class_key(phi[w]))),
-                 ((w, "in", l, s.class_key(v)), (phi[w], "in", l, t.class_key(phi[v])))]
+        pairs = [((v, "out", l, s.labels[w]), (phi[v], "out", l, t.labels[phi[w]])),
+                 ((w, "in", l, s.labels[v]), (phi[w], "in", l, t.labels[phi[v]]))]
         for ks, kt in pairs:
             if not subsumes(t.slots.get(kt, ZERO), s.slots.get(ks, ZERO)):
                 return False
@@ -257,6 +250,29 @@ def test_normal_shapes_are_equal_exactly_when_strictly_isomorphic(rng):
                 assert strictly_isomorphic(s, t) == (s == t)
                 equal += s == t
     assert equal > 2 * len(shapes)
+
+
+def test_equal_shapes_hash_equal_and_shared_graphs_hash_apart(rng):
+    # The store looks shapes up by hash; many stored shapes share one
+    # graph, so the hash must tell their multiplicities apart too.
+    by_graph = {}
+    for _ in range(150):
+        g = random_graph(rng, max_nodes=5, edge_prob=0.2)
+        s = abstract(g, normal=True)
+        for t in (s, abstract(permuted(rng, g), normal=True),
+                  relaxed(rng, s), relaxed(rng, s), normalise(relaxed(rng, s))):
+            by_graph.setdefault(t.graph, []).append(t)
+    equal = unequal = apart = 0
+    for group in by_graph.values():
+        for s, t in itertools.combinations(group, 2):
+            if s == t:
+                assert hash(s) == hash(t)
+                equal += 1
+            else:
+                unequal += 1
+                apart += hash(s) != hash(t)
+    assert equal >= 100 and unequal >= 100
+    assert apart >= 0.9 * unequal
 
 
 def test_covered_by_own_abstraction(rng):

@@ -162,7 +162,7 @@ def test_prematch_allows_noninjective_on_collectors():
                ((0, L, 0, READER), (1, P, 1, READER), (2, P, 2, READER),
                 (1, at, 0, READER), (2, at, 0, READER)))
     ms = prematch(two, s)
-    packets = next(v for v in s.graph.nodes if s.class_key(v) == frozenset({P}))
+    packets = next(v for v in s.graph.nodes if s.labels[v] == frozenset({P}))
     assert any(m.node_map[1] == m.node_map[2] == packets for m in ms)
 
 
@@ -184,8 +184,9 @@ def test_materialise_on_concrete_match_is_identity():
     assert len(ms) == 1
     mats = materialise(move_rule(), ms[0], s)
     assert len(mats) == 1
-    assert strictly_isomorphic(mats[0].shape, s)
-    assert mats[0].match.node_map == ms[0].node_map
+    (branch, match), = mats
+    assert strictly_isomorphic(branch.shape(), s)
+    assert match.node_map == ms[0].node_map
 
 
 def test_materialise_splits_collector():
@@ -199,12 +200,12 @@ def test_materialise_splits_collector():
     assert len(ms) == 1
     mats = materialise(r, ms[0], s)
     assert mats
-    for mat in mats:
-        mat.shape.validate()
-        img = mat.match.node_map[1]
-        assert mat.shape.node_mult[img] == ONE       # match image concrete
+    for branch, match in mats:
+        valid_shape(branch)
+        img = match.node_map[1]
+        assert branch.node_mult[img] == ONE          # match image concrete
     # the 2+ collector leaves a 1+ remainder in every branch
-    assert any(ONE_PLUS in mat.shape.node_mult.values() for mat in mats)
+    assert any(ONE_PLUS in branch.node_mult.values() for branch, _ in mats)
 
 
 def test_materialise_demands_part_to_part_edges_from_both_ends():
@@ -218,9 +219,9 @@ def test_materialise_demands_part_to_part_edges_from_both_ends():
              ((0, C, 0, READER), (1, C, 1, READER), (0, n, 1, READER)))
     (m,) = prematch(r, s)
     mats = materialise(r, m, s)
-    assert {mat.match.node_map[0] for mat in mats} == {1}
-    assert {mat.match.node_map[1] for mat in mats} == {2}   # 3: remainder
-    assert sorted(sorted(mat.shape.graph.binary_edges()) for mat in mats) == [
+    assert {match.node_map[0] for _, match in mats} == {1}
+    assert {match.node_map[1] for _, match in mats} == {2}   # 3: remainder
+    assert sorted(sorted(branch.edges) for branch, _ in mats) == [
         [(1, n, 2), (2, n, 1)],
         [(1, n, 2), (2, n, 1), (3, n, 3)],
         [(1, n, 2), (2, n, 3), (3, n, 1)],
@@ -233,7 +234,7 @@ def optional_remainder():
     the remainder may be empty or not, one branch each."""
     g = graph(range(2), [(0, L, 0), (1, P, 1), (1, at, 0)])
     s = abstract(g)
-    v = next(v for v in s.graph.nodes if s.class_key(v) == frozenset({P}))
+    v = next(v for v in s.graph.nodes if s.labels[v] == frozenset({P}))
     s = Shape(s.graph, {**s.node_mult, v: ONE_PLUS}, dict(s.slots))
     r = Rule("grab", {0: READER, 1: READER},
              ((0, L, 0, READER), (1, P, 1, READER), (1, at, 0, READER)))
@@ -243,7 +244,7 @@ def optional_remainder():
 def test_materialise_drops_optional_remainder():
     r, s = optional_remainder()
     mats = materialise(r, prematch(r, s)[0], s)
-    node_counts = {len(mat.shape.graph.nodes) for mat in mats}
+    node_counts = {len(branch.node_mult) for branch, _ in mats}
     assert node_counts == {2, 3}
 
 
@@ -261,37 +262,50 @@ def test_branch_cap_counts_the_whole_call(monkeypatch):
 
 @pytest.fixture(scope="module", params=["firewall-2", "firewall-3"])
 def rewrite_steps(request):
-    """Every (rule, branches) of every state stored by a dfs run with
-    subsumption on."""
+    """Every (rule, prematch, state) of every state stored by a dfs run
+    with subsumption on.  ``apply`` rewrites its branch in place, so each
+    test materialises afresh."""
     grammar = load_bundled(request.param)
     ts, _ = explore(grammar, ExploreConfig(strategy="dfs", subsumption=True))
-    return [(rule, materialise(rule, m, s))
+    return [(rule, m, s)
             for s in ts.states.values()
             for rule in grammar.rules
             for m in prematch(rule, s)]
 
 
+def valid_shape(branch):
+    """The branch as a Shape, after checking the shape invariants."""
+    assert branch.labels.keys() == branch.node_mult.keys()
+    s = branch.shape()
+    s.validate()
+    return s
+
+
 def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
-    assert sum(len(mats) for _, mats in rewrite_steps) >= 50
-    for _, mats in rewrite_steps:
-        for mat in mats:
-            mat.shape.validate()
+    branches = 0
+    for rule, m, s in rewrite_steps:
+        mats = materialise(rule, m, s)
+        branches += len(mats)
+        for branch, _ in mats:
+            valid_shape(branch)
         for x, y in itertools.combinations(mats, 2):
-            assert x != y   # graph, node_mult, slots and match
+            assert x != y   # node_mult, labels, edges, slots and match
+    assert branches >= 50
 
 
 def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
     merged = 0
-    for rule, mats in rewrite_steps:
-        for mat in mats:
+    for rule, m, s in rewrite_steps:
+        for branch, match in materialise(rule, m, s):
             try:
-                t = apply(rule, mat)
+                t = apply(rule, branch, match)
             except ApplyInfeasible:
                 continue
+            assert t is branch
             once = normalise(t)
-            t.validate()      # slot keys are exactly the supported ones,
+            valid_shape(t)    # slot keys are exactly the supported ones,
             once.validate()   # which subsumption's slot-wise check needs
-            merged += len(once.graph.nodes) < len(t.graph.nodes)
+            merged += len(once.graph.nodes) < len(t.node_mult)
             assert normalise(once) == once
     assert merged >= 30
 
@@ -305,8 +319,8 @@ def test_abstract_apply_mirrors_concrete_on_exact_shapes():
         s = concrete_shape(g)
         ms = prematch(append_rule(), s)
         assert len(ms) == 1
-        (mat,) = materialise(append_rule(), ms[0], s)
-        t = normalise(apply(append_rule(), mat))
+        ((branch, match),) = materialise(append_rule(), ms[0], s)
+        t = normalise(apply(append_rule(), branch, match))
         h = concrete_apply(append_rule(),
                            concrete_matches(append_rule(), g)[0], g)
         assert strictly_isomorphic(t, normalise(concrete_shape(h)))
@@ -314,13 +328,13 @@ def test_abstract_apply_mirrors_concrete_on_exact_shapes():
 
 def test_apply_label_flip_rekeys_slots():
     s = concrete_shape(chain(2))
-    (mat,) = materialise(append_rule(), prematch(append_rule(), s)[0], s)
-    t = apply(append_rule(), mat)
-    t.validate()
-    flipped = mat.match.node_map[0]
-    assert t.class_key(flipped) == frozenset({C})
+    ((branch, match),) = materialise(append_rule(), prematch(append_rule(), s)[0], s)
+    t = apply(append_rule(), branch, match)
+    valid_shape(t)
+    flipped = match.node_map[0]
+    assert t.labels[flipped] == frozenset({C})
     # the incoming slot of the flipped node keeps its old class key
-    pred = next(v for v in t.graph.nodes
+    pred = next(v for v in t.node_mult
                 if (v, "out", n, frozenset({C})) in t.slots)
     assert t.slots[(pred, "out", n, frozenset({C}))] == ONE
 
