@@ -270,4 +270,3 @@ def find_isomorphism(g: Graph, h: Graph):
     for m in isomorphisms(g, h):
         return Morphism(m)
     return None
-

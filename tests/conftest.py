@@ -42,11 +42,11 @@ def rng():
 
 def is_morphism(m: Morphism, g, h) -> bool:
     """Check the structure/label preservation condition of ``m : g -> h``."""
-    if set(m.node_map) != set(g.nodes):
-        return False
-    if not set(m.node_map.values()) <= set(h.nodes):
-        return False
     phi = m.node_map
+    if set(phi) != set(g.nodes):
+        return False
+    if not set(phi.values()) <= set(h.nodes):
+        return False
     return all((phi[v], l, phi[w]) in h.edges for (v, l, w) in g.edges)
 
 

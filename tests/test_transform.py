@@ -274,11 +274,9 @@ def rewrite_steps(request):
 
 
 def valid_shape(branch):
-    """The branch as a Shape, after checking the shape invariants."""
+    """Check the shape invariants on a Shape built from ``branch``."""
     assert branch.labels.keys() == branch.node_mult.keys()
-    s = branch.shape()
-    s.validate()
-    return s
+    branch.shape().validate()
 
 
 def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
