@@ -5,11 +5,11 @@ from .multiplicity import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
                            ZERO_ONE, ZERO_PLUS, Multiplicity, add,
                            approx_card, bounded, from_text, positive_part,
                            subsumes, subtract_one)
-from .graphs import (Graph, GraphError, Label, Morphism, binary, certificate,
+from .graphs import (Graph, GraphError, Label, binary, certificate,
                      find_isomorphism, graph, isomorphisms, unary)
-from .shapes import (Branch, Shape, ShapeError, abstract, compare_shapes,
-                     covered, neighbourhood_partition, normalise,
-                     shape_subsumes, strictly_isomorphic)
+from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
+                     neighbourhood_partition, normalise, shape_subsumes,
+                     strictly_isomorphic)
 from .rules import (ApplyInfeasible, Rule, RuleError, apply, concrete_apply,
                     concrete_matches, materialise, prematch)
 from .explore import (CSV_HEADER, ExplorationStats, ExploreConfig,

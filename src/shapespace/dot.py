@@ -25,13 +25,12 @@ def graph_dot(g: Graph, name: str = "G") -> str:
 def shape_dot(s: Shape, name: str = "shape") -> str:
     """Shape drawing: collector nodes bold, multiplicities as labels."""
     lines = [f"digraph {_quote(name)} {{", "  node [shape=ellipse];"]
-    for v in sorted(s.graph.nodes):
+    for v in sorted(s.node_mult):
         labs = ",".join(sorted(l.text for l in s.labels[v]))
         text = f"{labs or v} : {s.node_mult[v].text()}"
         style = "" if s.node_mult[v].is_concrete else ", style=bold, peripheries=2"
         lines.append(f"  n{v} [label={_quote(text)}{style}];")
-    for (a, l, b) in sorted(s.graph.binary_edges(),
-                            key=lambda e: (e[0], e[1].text, e[2])):
+    for (a, l, b) in sorted(s.edges, key=lambda e: (e[0], e[1].text, e[2])):
         om, im = (s.slots.get(slot) for slot in edge_slots(s.labels, a, l, b))
         text = f"{l.text} [{om.text() if om else '?'}|{im.text() if im else '?'}]"
         lines.append(f"  n{a} -> n{b} [label={_quote(text)}];")

@@ -46,8 +46,8 @@ class ExploreConfig:
             raise ExploreError(f"unknown mode {self.mode!r}")
         for name in ("max_states", "max_depth", "timeout"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ExploreError(f"{name} must not be negative, got {value}")
+            if value is not None and not value >= 0:   # NaN too
+                raise ExploreError(f"{name} must not be negative or NaN, got {value}")
 
 
 @dataclass
@@ -128,7 +128,8 @@ class ConcreteEngine:
         out = []
         for rule in self.grammar.rules:
             for m in concrete_matches(rule, g):
-                out.append(((rule.name, m.as_tuple()), concrete_apply(rule, m, g)))
+                out.append(((rule.name, tuple(sorted(m.items()))),
+                            concrete_apply(rule, m, g)))
         return out
 
 
@@ -146,7 +147,7 @@ class AbstractEngine:
                     "which the abstract engine does not support")
 
     def start_state(self) -> Shape:
-        return abstract(self.grammar.start, normal=True)
+        return abstract(self.grammar.start)
 
     @staticmethod
     def identity(s: Shape) -> Shape:
@@ -172,7 +173,7 @@ class AbstractEngine:
                         t = apply(rule, branch, match)
                     except ApplyInfeasible:
                         continue
-                    out.append(((rule.name, m.as_tuple()), normalise(t)))
+                    out.append(((rule.name, tuple(sorted(m.items()))), normalise(t)))
         # Canonical order: least abstract first.  The DFS stack then
         # pops the most abstract successor first, which reaches the
         # subsuming fixpoint states early and prunes harder.

@@ -1,4 +1,4 @@
-"""Simple directed labelled graphs, morphisms, canonical forms and isomorphism.
+"""Simple directed labelled graphs, canonical forms and isomorphism.
 
 Node labels are encoded as self-loops carrying unary labels; there is no
 separate label field.  Node ids are opaque integers local to each graph:
@@ -107,16 +107,6 @@ class Graph:
 
 def graph(nodes, edges=()) -> Graph:
     return Graph(frozenset(nodes), frozenset(edges))
-
-
-@dataclass
-class Morphism:
-    """Total node map; structure and labels must be preserved."""
-
-    node_map: dict
-
-    def as_tuple(self):
-        return tuple(sorted(self.node_map.items()))
 
 
 # --- canonical form -------------------------------------------------------
@@ -266,7 +256,7 @@ def isomorphisms(g: Graph, h: Graph):
 
 
 def find_isomorphism(g: Graph, h: Graph):
-    """First isomorphism between ``g`` and ``h`` as a Morphism, or None."""
+    """First isomorphism between ``g`` and ``h`` as a node map, or None."""
     for m in isomorphisms(g, h):
-        return Morphism(m)
+        return m
     return None

@@ -6,10 +6,11 @@ embargo elements form a negative application condition (concrete
 engine only).  The abstract pipeline is prematch / materialise /
 apply, then ``shapes.normalise``; the concrete pipeline is match / apply.
 
-A rewrite branch is a ``shapes.Branch`` record: ``materialise`` builds
-one per branch, ``apply`` rewrites it in place, and ``normalise`` builds
-the successor's one Shape and Graph from it.  Materialisation builds
-only valid, pairwise distinct branches.
+Each rewrite branch is a ``shapes.Shape``: ``materialise`` builds one
+per branch, ``apply`` rewrites it in place, and ``normalise`` folds it
+into the successor.  None of them builds a Graph; only ``prematch``
+reads the state's.  Materialisation builds only valid, pairwise
+distinct branches.  Matches are plain node maps.
 
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
@@ -21,11 +22,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, Morphism, graph, morphisms
+from .graphs import Graph, graph, morphisms
 from . import multiplicity as mult
 from .multiplicity import (Multiplicity, add, bounded, positive_part,
                            subtract_one)
-from .shapes import Branch, Shape, ShapeError, edge_slots
+from .shapes import Shape, ShapeError, edge_slots
 
 READER = "reader"
 ERASER = "eraser"
@@ -119,17 +120,14 @@ def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
 
 def concrete_matches(rule: Rule, g: Graph):
     """Injective matches of the rule's LHS in ``g``, NACs respected."""
-    out = []
-    for m in morphisms(rule.lhs(), g, injective=True):
-        if not _nac_blocked(rule, m, g):
-            out.append(Morphism(m))
-    out.sort(key=lambda m: m.as_tuple())
+    out = [m for m in morphisms(rule.lhs(), g, injective=True)
+           if not _nac_blocked(rule, m, g)]
+    out.sort(key=lambda m: sorted(m.items()))
     return out
 
 
-def concrete_apply(rule: Rule, m: Morphism, g: Graph) -> Graph:
-    """SPO rewrite of ``g`` at match ``m``."""
-    phi = m.node_map
+def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
+    """SPO rewrite of ``g`` at match ``phi``."""
     erased_nodes = {phi[v] for v in rule.nodes_with(ERASER)}
     erased_edges = {(phi[v], l, phi[w]) for (v, l, w, _) in rule.edges_with(ERASER)}
     nodes = set(g.nodes) - erased_nodes
@@ -152,11 +150,9 @@ def concrete_apply(rule: Rule, m: Morphism, g: Graph) -> Graph:
 def prematch(rule: Rule, s: Shape):
     """Possibly non-injective morphisms of the LHS into the shape graph
     whose shared images remain multiplicity-feasible."""
-    out = []
-    for m in morphisms(rule.lhs(), s.graph, injective=False):
-        if _prematch_feasible(rule, m, s):
-            out.append(Morphism(m))
-    out.sort(key=lambda m: m.as_tuple())
+    out = [m for m in morphisms(rule.lhs(), s.graph, injective=False)
+           if _prematch_feasible(rule, m, s)]
+    out.sort(key=lambda m: sorted(m.items()))
     return out
 
 
@@ -176,30 +172,29 @@ def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
 # --- abstract engine: materialise ----------------------------------------
 
 
-def materialise(rule: Rule, m: Morphism, s: Shape):
+def materialise(rule: Rule, phi: dict, s: Shape):
     """Pull concrete copies of the match image out of collector elements.
 
     Each non-concrete node in the image is split into one concrete part
     per LHS node mapped onto it, plus a remainder.  The branches range
     over (a) whether each remainder is present and (b) how the unmatched
     adjacency of the split-off nodes distributes, so that every
-    concretisation of ``s`` in which ``m`` extends to an injective
+    concretisation of ``s`` in which ``phi`` extends to an injective
     concrete match is covered by some returned branch.  Each entry is a
-    ``(Branch, match)`` pair; every branch shares the one concrete match.
+    ``(Shape, match)`` pair; every branch shares the one concrete match.
 
-    ``m`` comes from ``prematch``, so no node has more LHS nodes mapped
+    ``phi`` comes from ``prematch``, so no node has more LHS nodes mapped
     onto it than its multiplicity allows.  Every branch is built valid
     and no two are equal.  They come in ``itertools.product`` order over
     the remainder choices of the split nodes (in node order), then in
     depth-first order of slot choices.
     """
-    phi = m.node_map
     groups = {}
     for a in sorted(rule.lhs().nodes):
         groups.setdefault(phi[a], []).append(a)
     split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
 
-    fresh = itertools.count(max(s.graph.nodes, default=-1) + 1)
+    fresh = itertools.count(max(s.node_mult, default=-1) + 1)
     parts = {}       # split node -> (concrete parts, remainder id)
     assign = {}
     for u in split:
@@ -208,7 +203,6 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
     for u, grp in groups.items():
         if u not in parts:
             assign[grp[0]] = u
-    match = Morphism(assign)
 
     remainders = []  # per split node: None (no remainder) or its multiplicity
     for u in split:
@@ -227,9 +221,7 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
         pinned.setdefault(in_slot, set()).add(assign[x])
     neighbours = {}  # slot of ``s`` -> nodes at the other end of its edges
     kept = []        # edges between nodes that are not split
-    for (v, l, w) in s.graph.edges:
-        if l.is_unary:
-            continue
+    for (v, l, w) in s.edges:
         out_slot, in_slot = edge_slots(labels, v, l, w)
         neighbours.setdefault(out_slot, []).append(w)
         neighbours.setdefault(in_slot, []).append(v)
@@ -247,7 +239,7 @@ def materialise(rule: Rule, m: Morphism, s: Shape):
     for combo in itertools.product(*remainders):
         for branch in _branches(s, parts, dict(zip(split, combo)), labels, own,
                                 pinned, neighbours, untouched, kept):
-            out.append((branch, match))
+            out.append((branch, assign))
             if len(out) > MAX_BRANCHES:
                 raise ShapeError("materialisation branch explosion "
                                  f"(over {MAX_BRANCHES} branches)")
@@ -263,7 +255,7 @@ def _slot_order(item):
 def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
     """The branches for one choice of remainders, depth first."""
     node_mult, members = {}, {}
-    for x in sorted(s.graph.nodes):
+    for x in sorted(s.node_mult):
         if x in parts:
             ps, r = parts[x]
             node_mult.update((p, mult.ONE) for p in ps)
@@ -301,7 +293,7 @@ def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
         if any(mu.lo > 0 and slot not in supported for slot, mu in untouched):
             continue
         slots.update((slot, mu) for slot, mu in untouched if slot in supported)
-        yield Branch(dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots)
+        yield Shape(dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots)
 
 
 def _consistent_choices(axes, labels, new_nodes):
@@ -385,9 +377,9 @@ def _subsets(items):
 # --- abstract engine: apply ----------------------------------------------
 
 
-def apply(rule: Rule, branch: Branch, match: Morphism) -> Branch:
+def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
     """Rewrite ``branch`` in place at its concrete match; returns it."""
-    phi = dict(match.node_map)
+    phi = dict(match)
     node_mult, labels = branch.node_mult, branch.labels
     edges, slots = branch.edges, branch.slots
 

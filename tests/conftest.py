@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from shapespace import GraphError, Label, Morphism, binary, graph, unary
+from shapespace import GraphError, Label, binary, graph, unary
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -40,9 +40,8 @@ def rng():
     return random.Random(20260825)
 
 
-def is_morphism(m: Morphism, g, h) -> bool:
-    """Check the structure/label preservation condition of ``m : g -> h``."""
-    phi = m.node_map
+def is_morphism(phi: dict, g, h) -> bool:
+    """Check the structure/label preservation condition of ``phi : g -> h``."""
     if set(phi) != set(g.nodes):
         return False
     if not set(phi.values()) <= set(h.nodes):
@@ -50,10 +49,10 @@ def is_morphism(m: Morphism, g, h) -> bool:
     return all((phi[v], l, phi[w]) in h.edges for (v, l, w) in g.edges)
 
 
-def inverse(m: Morphism) -> Morphism:
-    if len(set(m.node_map.values())) != len(m.node_map):
+def inverse(phi: dict) -> dict:
+    if len(set(phi.values())) != len(phi):
         raise GraphError("non-injective morphism has no inverse")
-    return Morphism({w: v for v, w in m.node_map.items()})
+    return {w: v for v, w in phi.items()}
 
 
 def brute_force_isomorphism(g, h):
@@ -62,7 +61,7 @@ def brute_force_isomorphism(g, h):
         return None
     gs = sorted(g.nodes)
     for perm in permutations(sorted(h.nodes)):
-        m = Morphism(dict(zip(gs, perm)))
+        m = dict(zip(gs, perm))
         if is_morphism(m, g, h) and is_morphism(inverse(m), h, g):
             return m
     return None

@@ -88,8 +88,9 @@ def test_unwritable_output_exits_1(flag, tmp_path, capsys):
     (None, ["--max-depth", "-1"]),
     (None, ["--max-states", "-5"]),
     (None, ["--timeout", "-1"]),
+    (None, ["--timeout", "nan"]),
     (b"\xff\xfe", []),
-], ids=["max-depth", "max-states", "timeout", "non-utf8-file"])
+], ids=["max-depth", "max-states", "timeout", "timeout-nan", "non-utf8-file"])
 def test_bad_input_exits_1(grammar_bytes, args, tmp_path, capsys):
     grammar = "counter"
     if grammar_bytes is not None:

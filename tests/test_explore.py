@@ -177,12 +177,52 @@ def test_abstract_states_cover_concrete_reachables():
         assert covered(g, shapes)
 
 
-def test_one_graph_built_per_abstract_successor(monkeypatch):
-    # Branches are plain records until ``normalise`` builds the
-    # successor's Shape, so each successor costs one Graph.
+MARK = parse_grammar("""
+label L unary
+label M unary
+label P unary
+label at binary
+graph
+  node x L
+  node y L
+  node z L
+  node p0 P
+  node p1 P
+  node q0 P
+  node q1 P
+  node r0 P
+  edge p0 -at-> x
+  edge p1 -at-> x
+  edge q0 -at-> y
+  edge q1 -at-> y
+  edge r0 -at-> z
+rule mark
+  use node x L
+  new edge x -M-> x
+""", name="mark")
+
+
+@pytest.mark.xfail(strict=True, reason="relabelling a node next to an unmatched "
+                   "collector updates the collector's slots inexactly instead of "
+                   "splitting it, so the successor misses concrete graphs")
+def test_relabel_next_to_unmatched_collector_is_covered():
+    concrete_ts, _ = run(MARK, engine="concrete")
+    assert len(concrete_ts.states) == 6
+    for subsumption in (True, False):
+        abstract_ts, _ = run(MARK, engine="abstract", subsumption=subsumption)
+        shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
+        for g in concrete_ts.states.values():
+            assert covered(g, shapes)
+
+
+def test_abstract_successors_build_no_graph(monkeypatch):
+    # A successor stays a Shape record from ``materialise`` through
+    # ``normalise``; only ``prematch`` reads a graph, the state's own.
     grammar = load_bundled("firewall-4")
     ts, _ = run(grammar, strategy="dfs", subsumption=True)
     engine = make_engine(grammar, "abstract")
+    for s in ts.states.values():
+        s.graph      # built when the state was stored or first expanded
     built = 0
     check = Graph.__post_init__
 
@@ -194,7 +234,7 @@ def test_one_graph_built_per_abstract_successor(monkeypatch):
     monkeypatch.setattr(Graph, "__post_init__", counting)
     successors = sum(len(engine.successors(s)) for s in ts.states.values())
     assert successors > 2000
-    assert built == successors
+    assert built == 0
 
 
 def test_rewriting_is_monotone_under_subsumption():

@@ -79,6 +79,12 @@ def test_approx_card_against_oracle():
         assert approx_card(k) == TWO_PLUS
     with pytest.raises(ValueError):
         approx_card(-1)
+    # ``normalise`` folds k nodes of multiplicity 1 with ``add``, which
+    # is how ``abstract`` counts a class of k concrete nodes
+    folded = ONE
+    for k in range(2, 11):
+        folded = add(folded, ONE)
+        assert folded == approx_card(k)
 
 
 def test_bounded_is_smallest_enclosing():

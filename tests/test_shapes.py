@@ -106,22 +106,26 @@ def test_abstract_validates_and_is_stable(rng):
 
 
 def test_validate_rejects_broken_shapes():
-    g = graph([0, 1], [(0, at, 1)])
-    with pytest.raises(ShapeError):
-        Shape(g, {0: ONE, 1: ONE}, {}).validate()      # edge without slots
-    with pytest.raises(ShapeError):
-        Shape(g, {0: ONE}, {}).validate()              # partial node map
-    with pytest.raises(ShapeError):
-        Shape(g, {0: ZERO, 1: ONE},
-              {(0, "out", at, frozenset()): ONE,
-               (1, "in", at, frozenset()): ONE}).validate()  # zero-population node
+    labels, edges = {0: frozenset(), 1: frozenset()}, {(0, at, 1)}
+    slots = {(0, "out", at, frozenset()): ONE, (1, "in", at, frozenset()): ONE}
+    Shape({0: ONE, 1: ONE}, labels, edges, slots).validate()
+    for broken, reason in (
+            (Shape({0: ONE, 1: ONE}, labels, edges, {}), "lacks a slot"),
+            (Shape({0: ONE}, labels, edges, slots), "differ in nodes"),
+            (Shape({0: ONE, 1: ONE}, {0: frozenset()}, edges, slots), "differ in nodes"),
+            (Shape({0: ZERO, 1: ONE}, labels, edges, slots), "zero-population"),
+            (Shape({0: ONE, 1: ONE}, labels, edges | {(0, at, 2)}, slots),
+             "not a binary edge between nodes")):
+        with pytest.raises(ShapeError, match=reason):
+            broken.validate()
+        assert "graph" not in vars(broken)   # validate never builds the graph
 
 
 # --- subsumption ----------------------------------------------------------
 
 
 def pshape(mu):
-    return Shape(graph([0], [(0, P, 0)]), {0: mu}, {})
+    return Shape({0: mu}, {0: frozenset({P})}, frozenset(), {})
 
 
 def test_multiplicity_subsumption_lifts_to_shapes():
@@ -132,7 +136,7 @@ def test_multiplicity_subsumption_lifts_to_shapes():
 
 def test_subsumption_requires_structure_match():
     s = pshape(ONE)
-    t = Shape(graph([0], [(0, C, 0)]), {0: ONE}, {})
+    t = Shape({0: ONE}, {0: frozenset({C})}, frozenset(), {})
     assert not shape_subsumes(t, s)[0]
 
 
@@ -140,13 +144,13 @@ def test_subsumption_searches_all_isomorphisms():
     # Two interchangeable nodes whose multiplicities force the witness
     # to be the swap, not the identity.
     def two(mu_a, mu_b):
-        return Shape(graph([0, 1], [(0, P, 0), (1, P, 1)]),
-                     {0: mu_a, 1: mu_b}, {})
+        return Shape({0: mu_a, 1: mu_b}, dict.fromkeys([0, 1], frozenset({P})),
+                     frozenset(), {})
     s = two(ONE, TWO_PLUS)
     t = two(TWO_PLUS, ONE)
     ok, wit = shape_subsumes(t, s)
     assert ok
-    assert wit.node_map == {0: 1, 1: 0}
+    assert wit == {0: 1, 1: 0}
 
 
 def test_strict_isomorphism_is_mutual_subsumption():
@@ -162,7 +166,7 @@ def relaxed(rng, s):
     """A shape subsuming ``s``: each multiplicity widened at random."""
     def widen(mu):
         return rng.choice([b for b in BOUNDED if subsumes(b, mu) and b != ZERO])
-    return Shape(s.graph, {v: widen(m) for v, m in s.node_mult.items()},
+    return Shape({v: widen(m) for v, m in s.node_mult.items()}, s.labels, s.edges,
                  {k: widen(m) for k, m in s.slots.items()})
 
 
@@ -230,18 +234,18 @@ def test_normal_shapes_are_canonical(rng):
     # graph must not change its normal abstraction.
     for _ in range(300):
         g = random_graph(rng, max_nodes=8)
-        s = normalise(abstract(g))
-        assert normalise(abstract(permuted(rng, g))) == s
-        assert abstract(permuted(rng, g), normal=True) == s
-        assert hash(abstract(permuted(rng, g), normal=True)) == hash(s)
+        s = abstract(g)
+        assert normalise(s) == s
+        assert abstract(permuted(rng, g)) == abstract(g)
+        assert hash(abstract(permuted(rng, g))) == hash(s)
 
 
 def test_normal_shapes_are_equal_exactly_when_strictly_isomorphic(rng):
     shapes = []
     for _ in range(120):
         g = random_graph(rng, max_nodes=5, edge_prob=0.2)
-        s = abstract(g, normal=True)
-        shapes += [s, abstract(permuted(rng, g), normal=True),
+        s = abstract(g)
+        shapes += [s, abstract(permuted(rng, g)),
                    normalise(relaxed(rng, s))]
     equal = 0
     for s in shapes:
@@ -258,8 +262,8 @@ def test_equal_shapes_hash_equal_and_shared_graphs_hash_apart(rng):
     by_graph = {}
     for _ in range(150):
         g = random_graph(rng, max_nodes=5, edge_prob=0.2)
-        s = abstract(g, normal=True)
-        for t in (s, abstract(permuted(rng, g), normal=True),
+        s = abstract(g)
+        for t in (s, abstract(permuted(rng, g)),
                   relaxed(rng, s), relaxed(rng, s), normalise(relaxed(rng, s))):
             by_graph.setdefault(t.graph, []).append(t)
     equal = unequal = apart = 0
