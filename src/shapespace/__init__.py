@@ -5,7 +5,7 @@ from .multiplicity import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
                            ZERO_ONE, ZERO_PLUS, Multiplicity, add,
                            approx_card, bounded, from_text, positive_part,
                            subsumes, subtract_one)
-from .graphs import (Graph, GraphError, Label, binary, certificate,
+from .graphs import (Graph, GraphError, Label, binary, canonical, certificate,
                      find_isomorphism, graph, isomorphisms, unary)
 from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
                      neighbourhood_partition, normalise, shape_subsumes,

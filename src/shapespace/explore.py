@@ -17,10 +17,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import Graph, certificate as graph_certificate, find_isomorphism
+from .graphs import (Graph, canonical, certificate as graph_certificate,
+                     find_isomorphism)
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
                     materialise, prematch)
-from .shapes import Shape, ShapeError, abstract, compare_shapes, normalise
+from .shapes import Frame, Shape, ShapeError, abstract, compare_shapes, normalise
 
 
 class ExploreError(ValueError):
@@ -136,7 +137,8 @@ class ConcreteEngine:
 class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
-    are keyed by the graph's canonical form."""
+    are keyed by the graph's canonical form; its labelling writes a
+    shape in the bucket's ``Frame``.  Only the audit calls ``compare``."""
 
     def __init__(self, grammar):
         self.grammar = grammar
@@ -153,12 +155,11 @@ class AbstractEngine:
     def identity(s: Shape) -> Shape:
         return s
 
-    def bucket(self, s: Shape) -> str:
-        return graph_certificate(s.graph)
+    def bucket(self, s: Shape):
+        return canonical(s.graph)
 
     def compare(self, s: Shape, t: Shape):
-        below, above = compare_shapes(s, t)
-        return below is not None, above is not None
+        return tuple(w is not None for w in compare_shapes(s, t))
 
     def successors(self, s: Shape):
         out = []
@@ -201,7 +202,9 @@ def make_engine(grammar, name: str):
 class _Store:
     """State store with the two freshness policies: ``live`` maps the
     identity of each unmarked state to its id; with subsumption on,
-    ``buckets`` hold the unmarked states, each bucket an antichain."""
+    ``buckets`` hold the unmarked states, each bucket an antichain: a
+    ``Frame``, made with the bucket, and its members, id -> coordinates.
+    The scan compares coordinates, with no isomorphism search."""
 
     def __init__(self, engine, subsumption: bool):
         self.engine = engine
@@ -223,24 +226,29 @@ class _Store:
         i = self.live.get(key)
         if i is not None:
             return False, i
-        bucket = self.buckets.setdefault(self.bucket_of(state), []) \
-            if self.bucket_of else []
+        members, orbit = {}, [None]
+        if self.bucket_of:
+            form, labelling = self.bucket_of(state)
+            if form not in self.buckets:
+                self.buckets[form] = Frame(state, labelling), {}
+            frame, members = self.buckets[form]
+            orbit = frame.orbit(state, labelling)
         below = []
-        for i in bucket:
-            new_below_old, old_below_new = self.engine.compare(state, ts.states[i])
+        for i, old in members.items():
+            new_below_old, old_below_new = frame.compare(orbit, old)
             if new_below_old:
                 return False, i
             if old_below_new:
                 below.append(i)
         for j in below:
-            bucket.remove(j)
+            del members[j]
             del self.live[self.engine.identity(ts.states[j])]
             ts.marked.add(j)
             self.newly_marked.append(j)
         i = next(next_id)
         ts.states[i] = state
         self.live[key] = i
-        bucket.append(i)
+        members[i] = orbit[0]
         return True, i
 
 

@@ -156,15 +156,17 @@ def _stable_colours(g: Graph):
     return colour, texts, list(code), near
 
 
-def certificate(g: Graph) -> str:
-    """Canonical form: equal exactly for isomorphic graphs.
+def canonical(g: Graph):
+    """Canonical form, equal exactly for isomorphic graphs, and the
+    labelling that gives it: node -> position in the least leaf.
 
     Individualisation refines the stable colouring to one node per cell
-    and keeps the least leaf, the sorted codes of the binary edges
-    between colours.  The first cell of several nodes branches once per
-    twin class (nodes with the same labelled neighbours, which an
-    automorphism swaps).  Colours keep the order of the label sets, so
-    the sorted label sets and the leaf fix the graph.
+    and keeps a least leaf, ranked by its code alone: the sorted codes
+    of the binary edges between colours.  The first cell of several
+    nodes branches once per twin class (nodes with the same labelled
+    neighbours, which an automorphism swaps).  Colours keep the order
+    of the label sets, so the sorted label sets and the leaf fix the
+    graph: isomorphic graphs relabelled by their labellings are equal.
     """
     colour, texts, tags, near = _stable_colours(g)
     n, t = len(g.nodes), len(tags)
@@ -175,15 +177,20 @@ def certificate(g: Graph) -> str:
         for v, c in colour.items():
             cells.setdefault(c, []).append(v)
         if len(cells) == n:
-            return sorted([(colour[v] * t + k) * n + colour[w] for v, k, w in edges])
+            return sorted([(colour[v] * t + k) * n + colour[w] for v, k, w in edges]), colour
         x = min(c for c, vs in cells.items() if len(vs) > 1)
         reps = {frozenset((c, -1 if w == v else w) for c, w in near[v]): v
                 for v in cells[x]}
-        return min(least(_refine({u: c + (c > x or (c == x and u != v))
-                                  for u, c in colour.items()}, near))
-                   for v in reps.values())
+        return min((least(_refine({u: c + (c > x or (c == x and u != v))
+                                   for u, c in colour.items()}, near))
+                    for v in reps.values()), key=lambda r: r[0])
 
-    return repr((n, sorted(texts.values()), tags, least(colour)))
+    code, labelling = least(colour)
+    return repr((n, sorted(texts.values()), tags, code)), labelling
+
+
+def certificate(g: Graph) -> str:
+    return canonical(g)[0]
 
 
 # --- morphism and isomorphism search --------------------------------------
@@ -257,6 +264,4 @@ def isomorphisms(g: Graph, h: Graph):
 
 def find_isomorphism(g: Graph, h: Graph):
     """First isomorphism between ``g`` and ``h`` as a node map, or None."""
-    for m in isomorphisms(g, h):
-        return m
-    return None
+    return next(isomorphisms(g, h), None)

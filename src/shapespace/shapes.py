@@ -201,6 +201,42 @@ def compare_shapes(s: Shape, t: Shape):
     return wit_st, wit_ts
 
 
+class Frame:
+    """Canonical coordinates of the shapes over one graph (up to
+    isomorphism): node multiplicities by position in the labelling of
+    ``graphs.canonical``, then slots, keyed ``(position, direction,
+    label, key)``, in sorted text order.  ``perms`` holds the graph's
+    other automorphisms, found once by the full ``isomorphisms``, as
+    index permutations.  A shape is below another exactly when, under
+    some automorphism, every entry is below the other's."""
+
+    def __init__(self, s: Shape, labelling: dict):
+        keys = sorted(((labelling[v], *rest) for v, *rest in s.slots),
+                      key=lambda k: (k[:2], k[2].text, sorted(x.text for x in k[3])))
+        self.index = {k: i for i, k in enumerate(keys, len(s.node_mult))}
+        self.perms = []
+        for phi in isomorphisms(s.graph, s.graph):
+            sigma = {labelling[v]: labelling[w] for v, w in phi.items()}
+            if any(p != q for p, q in sigma.items()):
+                self.perms.append((*(sigma[p] for p in range(len(sigma))),
+                                   *(self.index[(sigma[p], *rest)] for p, *rest in keys)))
+
+    def orbit(self, s: Shape, labelling: dict) -> list:
+        """``s``'s tuple, then its images under ``perms``."""
+        vec = [None] * (len(s.node_mult) + len(self.index))
+        for v, mu in s.node_mult.items():
+            vec[labelling[v]] = mu
+        for (v, *rest), mu in s.slots.items():
+            vec[self.index[(labelling[v], *rest)]] = mu
+        return [tuple(vec), *(tuple(map(vec.__getitem__, a)) for a in self.perms)]
+
+    @staticmethod
+    def compare(orbit: list, old: tuple):
+        """``(new below old, old below new)``, given the orbit of new."""
+        return (any(all(map(subsumes, old, x)) for x in orbit),
+                any(all(map(subsumes, x, old)) for x in orbit))
+
+
 def shape_subsumes(t: Shape, s: Shape):
     """Whether ``s`` is below ``t``; returns ``(bool, witness or None)``."""
     wit, _ = compare_shapes(s, t)

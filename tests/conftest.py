@@ -1,5 +1,6 @@
-"""Shared test fixtures: deterministic random graph generation, and
-the brute-force morphism and isomorphism oracles."""
+"""Shared test fixtures: deterministic random graph generation, the
+symmetric graph families, and the brute-force morphism and isomorphism
+oracles."""
 
 import random
 from itertools import permutations
@@ -33,6 +34,33 @@ def permuted(rng: random.Random, g):
     images = list(range(100, 100 + len(nodes)))
     rng.shuffle(images)
     return g.relabel(dict(zip(nodes, images)))
+
+
+def cycles(*lengths, both_ways=False):
+    """Disjoint directed e-cycles of the given lengths."""
+    e = BINARY[0]
+    edges, base = [], 0
+    for k in lengths:
+        for i in range(k):
+            edges.append((base + i, e, base + (i + 1) % k))
+            if both_ways:
+                edges.append((base + (i + 1) % k, e, base + i))
+        base += k
+    return graph(range(base), edges)
+
+
+def union(g, h):
+    """Disjoint union, ``h``'s nodes renumbered after ``g``'s."""
+    shift = {v: len(g.nodes) + i for i, v in enumerate(sorted(h.nodes))}
+    return graph(set(g.nodes) | set(shift.values()),
+                 set(g.edges) | {(shift[v], l, shift[w]) for (v, l, w) in h.edges})
+
+
+def star(*leaf_labels):
+    """A centre with one out-edge to each leaf, leaf i labelled leaf_labels[i]."""
+    return graph(range(len(leaf_labels) + 1),
+                 [(0, BINARY[0], i) for i in range(1, len(leaf_labels) + 1)]
+                 + [(i, l, i) for i, l in enumerate(leaf_labels, 1)])
 
 
 @pytest.fixture

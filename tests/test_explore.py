@@ -1,5 +1,6 @@
 """The exploration loop: freshness, statistics, strategies, modes."""
 
+import importlib
 import itertools
 
 import pytest
@@ -235,6 +236,41 @@ def test_abstract_successors_build_no_graph(monkeypatch):
     successors = sum(len(engine.successors(s)) for s in ts.states.values())
     assert successors > 2000
     assert built == 0
+
+
+def test_store_searches_isomorphisms_once_per_bucket(monkeypatch):
+    # With subsumption on, the store compares multiplicity tuples in
+    # canonical coordinates: the only isomorphism search it makes is
+    # the automorphism group of each new bucket.
+    explore_module = importlib.import_module("shapespace.explore")
+    shapes_module = importlib.import_module("shapespace.shapes")
+    searches, forms, in_store = [0], set(), [False]
+    search, add = shapes_module.isomorphisms, explore_module._Store.add
+    bucket = explore_module.AbstractEngine.bucket
+
+    def counting_search(g, h):
+        searches[0] += in_store[0]
+        return search(g, h)
+
+    def flagged_add(*args):
+        in_store[0] = True
+        try:
+            return add(*args)
+        finally:
+            in_store[0] = False
+
+    def recorded_bucket(engine, s):
+        form, labelling = bucket(engine, s)
+        forms.add(form)
+        return form, labelling
+
+    monkeypatch.setattr(shapes_module, "isomorphisms", counting_search)
+    monkeypatch.setattr(explore_module._Store, "add", flagged_add)
+    monkeypatch.setattr(explore_module.AbstractEngine, "bucket", recorded_bucket)
+    _, stats = run(load_bundled("firewall-4"), strategy="dfs", subsumption=True)
+    assert (stats.generated, stats.subsumed) == (267, 132)
+    assert len(forms) >= 30
+    assert searches[0] == len(forms)
 
 
 def test_rewriting_is_monotone_under_subsumption():

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from shapespace import (Graph, GraphError, binary, certificate,
+from shapespace import (Graph, GraphError, binary, canonical, certificate,
                         find_isomorphism, graph, isomorphisms, unary)
 from shapespace import graphs
 from shapespace.graphs import morphisms
 
-from conftest import (BINARY, UNARY, brute_force_isomorphism, inverse,
-                      is_morphism, permuted, random_graph)
+from conftest import (BINARY, UNARY, brute_force_isomorphism, cycles, inverse,
+                      is_morphism, permuted, random_graph, star, union)
 
 A, B = UNARY
 e, f = BINARY
@@ -124,32 +124,6 @@ def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
     assert colours == fresh.colours and cert == certificate(fresh)
 
 
-def cycles(*lengths, both_ways=False):
-    """Disjoint directed e-cycles of the given lengths."""
-    edges, base = [], 0
-    for k in lengths:
-        for i in range(k):
-            edges.append((base + i, e, base + (i + 1) % k))
-            if both_ways:
-                edges.append((base + (i + 1) % k, e, base + i))
-        base += k
-    return graph(range(base), edges)
-
-
-def union(g, h):
-    """Disjoint union, ``h``'s nodes renumbered after ``g``'s."""
-    shift = {v: len(g.nodes) + i for i, v in enumerate(sorted(h.nodes))}
-    return graph(set(g.nodes) | set(shift.values()),
-                 set(g.edges) | {(shift[v], l, shift[w]) for (v, l, w) in h.edges})
-
-
-def star(*leaf_labels):
-    """A centre with one out-edge to each leaf, leaf i labelled leaf_labels[i]."""
-    return graph(range(len(leaf_labels) + 1),
-                 [(0, e, i) for i in range(1, len(leaf_labels) + 1)]
-                 + [(i, l, i) for i, l in enumerate(leaf_labels, 1)])
-
-
 def random_cycles(rng):
     """Disjoint cycles over six nodes, one way or both, shuffled: one
     colour class, so refinement alone cannot tell them apart."""
@@ -196,6 +170,32 @@ def test_certificate_splits_what_refinement_cannot(rng):
         for k in (g, h):
             for _ in range(5):
                 assert certificate(permuted(rng, k)) == certificate(k)
+
+
+def test_canonical_labelling_maps_isomorphic_graphs_to_one_graph(rng):
+    # Relabelled through its canonical labelling, every graph in an
+    # isomorphism class becomes the same graph, the labelling being a
+    # bijection onto positions 0..n-1.
+    classes = [random_graph(rng, max_nodes=7) for _ in range(300)]
+    classes += [random_cycles(rng) for _ in range(50)]
+    classes += [cycles(6), cycles(3, 3), cycles(6, both_ways=True),
+                cycles(3, 3, both_ways=True), cycles(8), cycles(4, 4),
+                cycles(2, 6), star(A, A, B), star(A, B, B),
+                union(star(A, A), star(A, A)), union(star(A, A, A), star(A)),
+                union(cycles(3), cycles(3)), cycles(3, 3, 3)]
+    symmetric = 0
+    for g in classes:
+        form, lab = canonical(g)
+        assert form == certificate(g)
+        assert sorted(lab) == sorted(g.nodes)
+        assert sorted(lab.values()) == list(range(len(g.nodes)))
+        for _ in range(3):
+            h = permuted(rng, g)
+            form_h, lab_h = canonical(h)
+            assert form_h == form
+            assert h.relabel(lab_h) == g.relabel(lab)
+        symmetric += sum(1 for _ in isomorphisms(g, g)) > 1
+    assert symmetric >= 50
 
 
 def test_certificate_of_disjoint_copies_is_exact(rng):

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Shape,
-                        ShapeError, abstract, binary, certificate,
+                        ShapeError, abstract, binary, canonical, certificate,
                         compare_shapes, covered, graph, isomorphisms,
                         neighbourhood_partition, normalise, shape_subsumes,
                         strictly_isomorphic, subsumes, unary)
+from shapespace.shapes import Frame, _concrete
 
-from conftest import permuted, random_graph
+from conftest import UNARY, cycles, permuted, random_graph, star
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")
@@ -210,6 +211,59 @@ def test_compare_shapes_agrees_with_edgewise_check(rng):
                 assert got == expect
                 hits[got] += 1
     assert min(hits) > 100
+
+
+# --- canonical coordinates -------------------------------------------------
+
+
+def coordinate_compare(s, t, first):
+    """``(s below t, t below s)`` as the store decides it, in the frame
+    that ``first`` (a shape over an isomorphic graph) opened; and
+    whether that frame has an automorphism besides the identity."""
+    frame = Frame(first, canonical(first.graph)[1])
+    old = frame.orbit(t, canonical(t.graph)[1])[0]
+    return frame.compare(frame.orbit(s, canonical(s.graph)[1]), old), bool(frame.perms)
+
+
+def with_mult(s, v, mu):
+    return Shape({**s.node_mult, v: mu}, s.labels, s.edges, s.slots)
+
+
+def symmetric_pairs():
+    """Pairs related only through a non-identity automorphism."""
+    def two(mu_a, mu_b):
+        return Shape({0: mu_a, 1: mu_b}, dict.fromkeys([0, 1], frozenset({P})),
+                     frozenset(), {})
+    yield two(ONE, TWO_PLUS), two(TWO_PLUS, ONE)
+    A, B = UNARY
+    for g, v, w in ((cycles(6), 0, 3), (cycles(3, 3), 0, 4),
+                    (star(A, A, B), 1, 2), (star(A, A, B, B), 3, 4)):
+        c = _concrete(g)
+        yield with_mult(c, v, TWO_PLUS), with_mult(c, w, TWO_PLUS)
+        yield with_mult(c, v, ONE_PLUS), with_mult(with_mult(c, w, ONE_PLUS), v, ONE)
+
+
+def test_coordinate_subsumption_agrees_with_compare_shapes(rng):
+    pairs = list(symmetric_pairs())
+    for s, t in pairs:   # the identity is no witness
+        wit = compare_shapes(s, t)[0]
+        assert wit is not None and wit != {v: v for v in s.node_mult}
+    for _ in range(400):
+        g = random_graph(rng, max_nodes=5, edge_prob=rng.choice([0.1, 0.2]))
+        s = relaxed(rng, _concrete(g))
+        t = relaxed(rng, _concrete(permuted(rng, g)))
+        pairs += [(s, t), (s, relaxed(rng, s)), (relaxed(rng, t), s)]
+        pairs.append((_concrete(g), _concrete(permuted(rng, g))))
+    hits, symmetric = [0, 0], 0
+    for s, t in pairs:
+        assert certificate(s.graph) == certificate(t.graph)
+        first = _concrete(permuted(rng, t.graph))
+        (below, above), has_automorphism = coordinate_compare(s, t, first)
+        assert (below, above) == tuple(w is not None for w in compare_shapes(s, t))
+        hits[below] += 1
+        symmetric += has_automorphism
+    assert min(hits) >= 400
+    assert symmetric >= 40
 
 
 # --- certificates and covering -------------------------------------------

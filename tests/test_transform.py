@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_PLUS, ApplyInfeasible,
-                        ExploreConfig, Rule, RuleError, Shape,
+from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_ONE, ZERO_PLUS,
+                        ApplyInfeasible, ExploreConfig, Rule, RuleError, Shape,
                         ShapeError, abstract, apply, approx_card, binary,
                         concrete_apply, concrete_matches, explore, graph,
                         load_bundled, materialise, normalise, prematch,
@@ -336,6 +336,27 @@ def test_apply_label_flip_rekeys_slots():
     pred = next(v for v in t.node_mult
                 if (v, "out", n, frozenset({C})) in t.slots)
     assert t.slots[(pred, "out", n, frozenset({C}))] == ONE
+
+
+def test_apply_lowers_only_the_lower_bound_next_to_a_collector():
+    # Two concrete X nodes each have an l-edge into the 2+ collector W,
+    # and each W node has exactly one l-edge from an X node.  Erasing
+    # one X node leaves every W node with zero or one such edge: the
+    # lower bound drops, the upper bound must stay.
+    X, W, l = unary("X"), unary("W"), binary("l")
+    x1, x2, w = 0, 1, 2
+    labels = {x1: frozenset({X}), x2: frozenset({X}), w: frozenset({W})}
+    branch = Shape({x1: ONE, x2: ONE, w: TWO_PLUS}, labels,
+                   {(x1, l, w), (x2, l, w)},
+                   {(x1, "out", l, labels[w]): ONE,
+                    (x2, "out", l, labels[w]): ONE,
+                    (w, "in", l, labels[x1]): ONE})
+    branch.validate()
+    erase = Rule("erase", {0: ERASER}, ((0, X, 0, ERASER),))
+    t = apply(erase, branch, {0: x1})
+    valid_shape(t)
+    assert x1 not in t.node_mult
+    assert t.slots[(w, "in", l, frozenset({X}))] == ZERO_ONE
 
 
 def test_normalise_merges_equal_signatures():
