@@ -5,11 +5,14 @@ separate label field.  Node ids are opaque integers local to each graph:
 equality of graphs is structural under identical ids, isomorphism is the
 semantic equality.
 
-Each graph derives two views from its edges the first time they are
-used, and keeps them: ``labels`` (node -> unary label set) and
-``colours`` (node -> stable colour).  One backtracking search,
-``morphisms``, serves rule matching, negative conditions and
-isomorphism.
+Labels are interned: one object per text and arity, compared and
+hashed by identity.  Each graph derives two views from its edges the
+first time they are used, and keeps them: ``labels`` (node -> unary
+label set) and ``colours`` (node -> stable colour).  The canonical form
+refines once per graph and branches only on cells of several twin
+classes; a cell of twins is made discrete in one step.  One
+backtracking search, ``morphisms``, serves rule matching, negative
+conditions and isomorphism.
 """
 
 from __future__ import annotations
@@ -22,23 +25,44 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Label:
-    text: str
-    arity: str  # "unary" | "binary"
+    """A label: its text and arity ("unary" or "binary").
 
-    def __post_init__(self):
-        if not self.text:
+    Labels are interned: ``Label(text, arity)`` returns the one object
+    for that pair, so equality and hashing are by identity.  A label is
+    immutable, and ``copy`` and ``pickle`` return the interned object.
+    """
+
+    __slots__ = ("text", "arity", "is_unary")
+
+    def __new__(cls, text: str, arity: str):
+        label = _LABELS.get((text, arity))
+        if label is not None:
+            return label
+        if not text:
             raise GraphError("empty label identifier")
-        if self.arity not in ("unary", "binary"):
-            raise GraphError(f"bad arity {self.arity!r}")
+        if arity not in ("unary", "binary"):
+            raise GraphError(f"bad arity {arity!r}")
+        label = object.__new__(cls)
+        object.__setattr__(label, "text", text)
+        object.__setattr__(label, "arity", arity)
+        object.__setattr__(label, "is_unary", arity == "unary")
+        return _LABELS.setdefault((text, arity), label)
 
-    @property
-    def is_unary(self) -> bool:
-        return self.arity == "unary"
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __reduce__(self):
+        return Label, (self.text, self.arity)
 
     def __repr__(self):
         return f"{self.text}/{self.arity[0]}"
+
+
+_LABELS = {}   # (text, arity) -> its one Label
 
 
 def unary(text: str) -> Label:
@@ -138,7 +162,7 @@ def _stable_colours(g: Graph):
     texts = {v: [] for v in g.nodes}
     binary = []
     for e in g.edges:
-        if e[1].arity == "unary":
+        if e[1].is_unary:
             texts[e[0]].append(e[1].text)
         else:
             binary.append(e)
@@ -162,25 +186,42 @@ def canonical(g: Graph):
 
     Individualisation refines the stable colouring to one node per cell
     and keeps a least leaf, ranked by its code alone: the sorted codes
-    of the binary edges between colours.  The first cell of several
-    nodes branches once per twin class (nodes with the same labelled
-    neighbours, which an automorphism swaps).  Colours keep the order
-    of the label sets, so the sorted label sets and the leaf fix the
-    graph: isomorphic graphs relabelled by their labellings are equal.
+    of the binary edges between colours.  Cells are taken least colour
+    first.  Twins (nodes with the same labelled neighbours) are never
+    adjacent, and every other node sees all of a twin class or none of
+    it, so a cell that is one twin class is made discrete in one step:
+    its nodes take consecutive colours, no other cell splits, the
+    colouring stays equitable, and the order does not change the leaf
+    (swapping twins is an automorphism).  Only a cell of several twin
+    classes branches, once per class, with a refinement after each
+    choice.  Colours keep the order of the label sets, so the sorted
+    label sets and the leaf fix the graph: isomorphic graphs relabelled
+    by their labellings are equal.
     """
     colour, texts, tags, near = _stable_colours(g)
     n, t = len(g.nodes), len(tags)
     edges = [(v, c // 2, w) for v, ns in near.items() for c, w in ns if c % 2 == 0]
 
     def least(colour):
-        cells = {}
-        for v, c in colour.items():
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            return sorted([(colour[v] * t + k) * n + colour[w] for v, k, w in edges]), colour
-        x = min(c for c, vs in cells.items() if len(vs) > 1)
-        reps = {frozenset((c, -1 if w == v else w) for c, w in near[v]): v
-                for v in cells[x]}
+        while True:
+            cells = {}
+            for v, c in colour.items():
+                cells.setdefault(c, []).append(v)
+            if len(cells) == n:
+                return sorted([(colour[v] * t + k) * n + colour[w]
+                               for v, k, w in edges]), colour
+            x = min(c for c, vs in cells.items() if len(vs) > 1)
+            reps = {frozenset((c, -1 if w == v else w) for c, w in near[v]): v
+                    for v in cells[x]}
+            if len(reps) > 1:
+                break
+            # One twin class: consecutive colours, last node first, as
+            # individualising the class's representative (the cell's
+            # last node) level by level would give them.
+            k = len(cells[x]) - 1
+            pos = {v: x + k - i for i, v in enumerate(cells[x])}
+            colour = {u: pos[u] if c == x else c + k * (c > x)
+                      for u, c in colour.items()}
         return min((least(_refine({u: c + (c > x or (c == x and u != v))
                                    for u, c in colour.items()}, near))
                     for v in reps.values()), key=lambda r: r[0])

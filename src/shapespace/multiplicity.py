@@ -14,36 +14,55 @@ over-approximates its exact counterpart.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 OMEGA = math.inf
 
 # Lower bounds may not exceed 2 and finite upper bounds may not exceed 1;
-# lifting the precision bound means relaxing these two constants.
+# lifting the precision bound means relaxing these two constants and
+# adding the new values to ``BOUNDED``.
 _MAX_LO = 2
 _MAX_FINITE_HI = 1
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Multiplicity:
     """Interval ``<lo, hi>`` with ``lo <= hi`` and ``hi`` possibly omega.
 
-    Ordered lexicographically by ``(lo, hi)``; this is an arbitrary
-    total order used for canonical sorting, not the subsumption order.
+    The six values are interned: ``Multiplicity(lo, hi)`` returns one of
+    ``BOUNDED`` (and raises ValueError for any other interval), so
+    equality and hashing are by identity.  A value is immutable, and
+    ``copy`` and ``pickle`` return the interned object.  Ordered
+    lexicographically by ``(lo, hi)``; this is an arbitrary total order
+    used for canonical sorting, not the subsumption order.
     """
 
-    lo: int
-    hi: float  # int, or math.inf for omega
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError(f"negative lower bound: {self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval <{self.lo},{self.hi}>")
-        finite_hi_ok = math.isinf(self.hi) or self.hi <= _MAX_FINITE_HI
-        if self.lo > _MAX_LO or not finite_hi_ok:
-            raise ValueError(f"not a bounded multiplicity: <{self.lo},{self.hi}>")
+    def __new__(cls, lo, hi):
+        mu = _VALUES.get((lo, hi))
+        if mu is not None:
+            return mu
+        if lo < 0:
+            raise ValueError(f"negative lower bound: {lo}")
+        if lo > hi:
+            raise ValueError(f"empty interval <{lo},{hi}>")
+        raise ValueError(f"not a bounded multiplicity: <{lo},{hi}>")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __reduce__(self):
+        return Multiplicity, (self.lo, self.hi)
+
+    def __lt__(self, other):
+        if other.__class__ is not Multiplicity:
+            return NotImplemented
+        return (self.lo, self.hi) < (other.lo, other.hi)
 
     def contains(self, k) -> bool:
         """Whether the natural (or omega) ``k`` lies in the interval."""
@@ -65,14 +84,23 @@ class Multiplicity:
         return f"Mult({self.text()})"
 
 
-ZERO = Multiplicity(0, 0)
-ZERO_ONE = Multiplicity(0, 1)
-ZERO_PLUS = Multiplicity(0, OMEGA)
-ONE = Multiplicity(1, 1)
-ONE_PLUS = Multiplicity(1, OMEGA)
-TWO_PLUS = Multiplicity(2, OMEGA)
+def _value(lo, hi) -> Multiplicity:
+    mu = object.__new__(Multiplicity)
+    object.__setattr__(mu, "lo", lo)
+    object.__setattr__(mu, "hi", hi)
+    return mu
+
+
+ZERO = _value(0, 0)
+ZERO_ONE = _value(0, 1)
+ZERO_PLUS = _value(0, OMEGA)
+ONE = _value(1, 1)
+ONE_PLUS = _value(1, OMEGA)
+TWO_PLUS = _value(2, OMEGA)
 
 BOUNDED = (ZERO, ZERO_ONE, ZERO_PLUS, ONE, ONE_PLUS, TWO_PLUS)
+
+_VALUES = {(mu.lo, mu.hi): mu for mu in BOUNDED}
 
 _TEXT = {
     ZERO: "0",
@@ -93,7 +121,7 @@ def bounded(lo, hi) -> Multiplicity:
         new_hi = int(hi)
     else:
         new_hi = OMEGA
-    return Multiplicity(new_lo, new_hi)
+    return _VALUES[new_lo, new_hi]
 
 
 def approx_card(k: int) -> Multiplicity:

@@ -132,3 +132,20 @@ def test_csv_determinism_across_invocations(tmp_path):
         cells = csv.read_text().splitlines()[1].split(",")
         rows.append(",".join(cells[:12] + cells[14:]))
     assert rows[0] == rows[1]
+
+
+def test_explore_concrete_many_twins(tmp_path, capsys):
+    # One location with 1,200 packets at it: the packets are one twin
+    # class, which the canonical form makes discrete without recursing
+    # once per packet.
+    lines = ["label L unary", "label P unary", "label at binary", "graph",
+             "  node l L"]
+    lines += [f"  node p{i} P" for i in range(1200)]
+    lines += [f"  edge p{i} -at-> l" for i in range(1200)]
+    lines += ["rule use-location", "  use node x L"]
+    f = tmp_path / "twins.gg"
+    f.write_text("\n".join(lines) + "\n")
+    assert cli_main(["explore", str(f), "--engine", "concrete"]) == 0
+    out = capsys.readouterr().out
+    assert "generated" in out and "complete" in out
+    assert out.splitlines()[-1].split() == ["complete", "true"]

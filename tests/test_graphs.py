@@ -1,12 +1,15 @@
 """Graphs, morphisms, certificates and isomorphism search."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
-from shapespace import (Graph, GraphError, binary, canonical, certificate,
-                        find_isomorphism, graph, isomorphisms, unary)
+from shapespace import (ExploreConfig, Graph, GraphError, Label, binary,
+                        canonical, certificate, explore, find_isomorphism,
+                        graph, isomorphisms, load_bundled, unary)
 from shapespace import graphs
 from shapespace.graphs import morphisms
 
@@ -33,8 +36,29 @@ def test_label_arity_validation():
     with pytest.raises(GraphError):
         unary("")
     with pytest.raises(GraphError):
-        from shapespace.graphs import Label
         Label("x", "ternary")
+
+
+def test_labels_are_interned():
+    assert Label("a", "unary") is unary("a")
+    assert binary("a") is not unary("a") and binary("a").is_unary is False
+    assert unary("a").is_unary and unary("a").text == "a"
+    assert copy.copy(unary("a")) is unary("a")
+    assert copy.deepcopy(unary("a")) is unary("a")
+    assert pickle.loads(pickle.dumps(binary("a"))) is binary("a")
+    with pytest.raises(AttributeError):
+        unary("a").text = "b"
+    with pytest.raises(AttributeError):
+        del unary("a").arity
+    assert unary("a").text == "a"
+
+
+def test_pickled_graph_loads_equal():
+    g = graph(range(3), [(0, e, 1), (1, f, 2), (2, A, 2)])
+    g.colours   # cached views travel with the graph
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g)
+    assert h.labels == g.labels and certificate(h) == certificate(g)
 
 
 def test_morphism_checks():
@@ -170,6 +194,92 @@ def test_certificate_splits_what_refinement_cannot(rng):
         for k in (g, h):
             for _ in range(5):
                 assert certificate(permuted(rng, k)) == certificate(k)
+
+
+def twin_rich(rng):
+    """Locations (``A``, some linked by ``f``) with 0-3 packets each (an
+    ``e``-edge to the location, some labelled ``B``), at most six nodes:
+    packets at one location are twins, packets at symmetric locations
+    share a cell in several twin classes."""
+    k = rng.randint(1, 3)
+    nodes = list(range(k))
+    edges = [(a, A, a) for a in nodes]
+    edges += [(a, f, b) for a in nodes for b in nodes if a != b and rng.random() < 0.1]
+    for a in range(k):
+        for _ in range(rng.randint(0, 3)):
+            if len(nodes) < 6:
+                nodes.append(len(nodes))
+                edges.append((nodes[-1], e, a))
+                if rng.random() < 0.3:
+                    edges.append((nodes[-1], B, nodes[-1]))
+    return permuted(rng, graph(nodes, edges))
+
+
+def looped_star(*leaf_labels):
+    """``star``, with an ``f`` self-loop on every leaf."""
+    g = star(*leaf_labels)
+    return graph(g.nodes, g.edges | {(i, f, i) for i in range(1, len(leaf_labels) + 1)})
+
+
+def random_star(rng):
+    leaves = [rng.choice(UNARY) for _ in range(rng.randint(1, 5))]
+    return permuted(rng, (looped_star if rng.random() < 0.3 else star)(*leaves))
+
+
+def shuffled_labels(rng, g):
+    """``g`` with its nodes' label sets dealt out again at random: the
+    same sorted label sets, often another graph."""
+    nodes = sorted(g.nodes)
+    sets = [g.labels[v] for v in nodes]
+    rng.shuffle(sets)
+    return graph(nodes, g.binary_edges() | {(v, l, v) for v, ls in zip(nodes, sets)
+                                            for l in ls})
+
+
+def test_certificate_exact_on_twin_rich_graphs(rng, monkeypatch):
+    calls = []
+    refine = graphs._refine
+    monkeypatch.setattr(graphs, "_refine", lambda *a: calls.append(1) or refine(*a))
+    equal = twins = branched = 0
+    for i in range(900):
+        make = twin_rich if i % 3 else random_star
+        g = make(rng)
+        h = rng.choice([permuted, shuffled_labels, lambda rng, g: make(rng)])(rng, g)
+        calls.clear()
+        same = certificate(g) == certificate(h)
+        assert same == (brute_force_isomorphism(g, h) is not None)
+        equal += same
+        twins += len(set(g.colours.values())) < len(g.nodes)
+        branched += len(calls) > 2   # beyond the two stable colourings
+    assert equal >= 300 and twins >= 450 and branched >= 25
+
+
+def test_canonical_refines_once_when_every_cell_is_twins(monkeypatch):
+    # Packets of one kind at one location are twins: on these concrete
+    # firewall-6F states every cell of the stable colouring is one twin
+    # class, as it is on twin stars, with or without a binary self-loop
+    # on the leaves.  The stable colouring is then the only refinement.
+    ts, _ = explore(load_bundled("firewall-6F"),
+                    ExploreConfig(engine="concrete", max_depth=3))
+    fresh = [graph(g.nodes, g.edges) for g in ts.states.values()]
+    fresh += [star(A, A), star(*[A] * 40, *[B] * 3), looped_star(A, A, A),
+              looped_star(*[B] * 7, A)]
+    calls = []
+    refine = graphs._refine
+    monkeypatch.setattr(graphs, "_refine", lambda *a: calls.append(1) or refine(*a))
+    for g in fresh:
+        calls.clear()
+        canonical(g)
+        assert len(calls) == 1
+    assert sum(len(set(g.colours.values())) < len(g.nodes) for g in fresh) >= 10
+
+
+def test_certificate_of_large_twin_star():
+    # 1,500 twins: the twin step is a loop, not a recursion level per twin
+    g = star(*[A] * 1500)
+    h = permuted(random.Random(5), g)
+    assert certificate(g) == certificate(h)
+    assert certificate(g) != certificate(star(*[A] * 1499, B))
 
 
 def test_canonical_labelling_maps_isomorphic_graphs_to_one_graph(rng):

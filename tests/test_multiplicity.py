@@ -6,8 +6,10 @@ omega; since every bound of the six values is at most 2, these
 representatives separate all of them.
 """
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -47,6 +49,20 @@ def test_texts_round_trip():
         assert from_text(b.text()) == b
     with pytest.raises(ValueError):
         from_text("3+")
+
+
+def test_values_are_interned():
+    assert bounded(0, 1) is Multiplicity(0, 1) is ZERO_ONE
+    assert all(Multiplicity(mu.lo, mu.hi) is mu for mu in BOUNDED)
+    assert sorted(reversed(BOUNDED)) == list(BOUNDED)   # (lo, hi) order
+    for mu in BOUNDED:
+        assert copy.copy(mu) is mu and copy.deepcopy(mu) is mu
+        assert pickle.loads(pickle.dumps(mu)) is mu
+    with pytest.raises(AttributeError):
+        ONE.lo = 0
+    with pytest.raises(AttributeError):
+        del ONE.hi
+    assert ONE.lo == 1 and ONE.hi == 1
 
 
 def test_invalid_intervals_rejected():
