@@ -16,16 +16,15 @@ conn = Label("conn", "binary")
 
 
 def world(packets_left, packets_right):
-    nodes = {"l1", "l2"}
-    edges = {("l1", L, "l1"), ("l2", L, "l2"), ("l1", conn, "l2")}
+    labels = {"l1": frozenset({L}), "l2": frozenset({L})}   # node -> label set
+    edges = {("l1", conn, "l2")}                             # binary edges
     for i in range(packets_left):
-        nodes.add(f"p{i}")
-        edges |= {(f"p{i}", P, f"p{i}"), (f"p{i}", at, "l1")}
+        labels[f"p{i}"] = frozenset({P})
+        edges.add((f"p{i}", at, "l1"))
     for i in range(packets_right):
-        v = f"q{i}"
-        nodes.add(v)
-        edges |= {(v, P, v), (v, at, "l2")}
-    return Graph(frozenset(nodes), frozenset(edges))
+        labels[f"q{i}"] = frozenset({P})
+        edges.add((f"q{i}", at, "l2"))
+    return Graph(labels, frozenset(edges))
 
 
 def main():
@@ -36,10 +35,10 @@ def main():
     s = abstract(g)
     print("abstraction groups nodes by labels and local connectivity:")
     print(shape_dot(s))
-    print(f"shape has {len(s.graph.nodes)} nodes for "
+    print(f"shape has {len(s.nodes)} nodes for "
           f"{len(g.nodes)} concrete nodes")
-    for v in sorted(s.graph.nodes):
-        labels = ",".join(sorted(l.text for l in s.graph.node_labels(v)))
+    for v in sorted(s.nodes):
+        labels = ",".join(sorted(l.text for l in s.labels[v]))
         print(f"  node {v} [{labels}]  multiplicity {s.node_mult[v]}")
 
     # The same shape covers any world with >= 2 packets on the left,

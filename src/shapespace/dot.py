@@ -14,9 +14,9 @@ def _quote(text: str) -> str:
 def graph_dot(g: Graph, name: str = "G") -> str:
     lines = [f"digraph {_quote(name)} {{", "  node [shape=ellipse];"]
     for v in sorted(g.nodes):
-        labs = ",".join(sorted(l.text for l in g.node_labels(v)))
+        labs = ",".join(sorted(l.text for l in g.labels[v]))
         lines.append(f"  n{v} [label={_quote(labs or str(v))}];")
-    for (a, l, b) in sorted(g.binary_edges(), key=lambda e: (e[0], e[1].text, e[2])):
+    for (a, l, b) in sorted(g.edges, key=lambda e: (e[0], e[1].text, e[2])):
         lines.append(f"  n{a} -> n{b} [label={_quote(l.text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

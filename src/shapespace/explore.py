@@ -94,8 +94,7 @@ class TransitionSystem:
         search, independent of the store's identities."""
         groups = {}
         for i, s in self.states.items():
-            g = s if isinstance(s, Graph) else s.graph
-            groups.setdefault((len(g.edges), *sorted(g.colours.values())), []).append(i)
+            groups.setdefault((len(s.edges), *sorted(s.colours.values())), []).append(i)
         for ids in groups.values():
             for i, j in itertools.combinations(ids, 2):
                 below, above = engine.compare(self.states[i], self.states[j])
@@ -137,7 +136,7 @@ class ConcreteEngine:
 class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
-    are keyed by the graph's canonical form; its labelling writes a
+    are keyed by the shape's canonical form; its labelling writes a
     shape in the bucket's ``Frame``.  Only the audit calls ``compare``."""
 
     def __init__(self, grammar):
@@ -156,7 +155,7 @@ class AbstractEngine:
         return s
 
     def bucket(self, s: Shape):
-        return canonical(s.graph)
+        return canonical(s)
 
     def compare(self, s: Shape, t: Shape):
         return tuple(w is not None for w in compare_shapes(s, t))

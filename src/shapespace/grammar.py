@@ -232,9 +232,9 @@ def render_grammar(g: Grammar) -> str:
     out.append("graph")
     names = {v: f"n{v}" for v in sorted(g.start.nodes)}
     for v in sorted(g.start.nodes):
-        labs = " ".join(sorted(l.text for l in g.start.node_labels(v)))
+        labs = " ".join(sorted(l.text for l in g.start.labels[v]))
         out.append(f"  node {names[v]}" + (f" {labs}" if labs else ""))
-    for (a, l, b) in sorted(g.start.binary_edges(),
+    for (a, l, b) in sorted(g.start.edges,
                             key=lambda e: (e[0], e[1].text, e[2])):
         out.append(f"  edge {names[a]} -{l.text}-> {names[b]}")
     for r in g.rules:

@@ -1,18 +1,20 @@
 """Simple directed labelled graphs, canonical forms and isomorphism.
 
-Node labels are encoded as self-loops carrying unary labels; there is no
-separate label field.  Node ids are opaque integers local to each graph:
-equality of graphs is structural under identical ids, isomorphism is the
-semantic equality.
+A graph is ``labels``, node -> unary label set (its keys are the
+nodes), and binary ``edges``.  ``shapes.Shape`` has the same two fields,
+and every algorithm here reads only them (``Labelled``), so it takes
+either record.  ``graph(nodes, edges)`` reads unary labels written as
+self-loops.  Node ids are opaque integers local to each graph: equality
+of graphs is structural under identical ids, isomorphism is the semantic
+equality.
 
 Labels are interned: one object per text and arity, compared and
-hashed by identity.  Each graph derives two views from its edges the
-first time they are used, and keeps them: ``labels`` (node -> unary
-label set) and ``colours`` (node -> stable colour).  The canonical form
-refines once per graph and branches only on cells of several twin
-classes; a cell of twins is made discrete in one step.  One
-backtracking search, ``morphisms``, serves rule matching, negative
-conditions and isomorphism.
+hashed by identity.  Each record keeps its stable colouring
+(``colours``) once computed.  The canonical form refines once per
+record and branches only on cells of several twin classes; a cell of
+twins is made discrete in one step.  One backtracking search,
+``morphisms``, serves rule matching, negative conditions and
+isomorphism.
 """
 
 from __future__ import annotations
@@ -73,64 +75,60 @@ def binary(text: str) -> Label:
     return Label(text, "binary")
 
 
-# An edge is a triple (source id, Label, target id).
-Edge = tuple[int, Label, int]
+class Labelled:
+    """What the algorithms here read of a record: ``labels``, node ->
+    unary label set, whose keys are the nodes, and the binary ``edges``.
+    ``Graph`` and ``shapes.Shape`` are both."""
 
-# Every distinct unary label set, once: the ``labels`` views of all
-# graphs share these.
-_LABEL_SETS = {}
-
-
-@dataclass(frozen=True)
-class Graph:
-    nodes: frozenset
-    edges: frozenset
-
-    def __post_init__(self):
-        for v, l, w in self.edges:
-            if v not in self.nodes or w not in self.nodes:
-                raise GraphError(f"edge ({v},{l},{w}) has endpoint outside node set")
-            if l.is_unary and v != w:
-                raise GraphError(f"unary label {l.text} on non-loop edge ({v},{w})")
-
-    @cached_property
-    def labels(self) -> dict:
-        """Node -> unary label set; equal sets are shared between graphs."""
-        found = {v: [] for v in self.nodes}
-        for (v, l, _) in self.edges:
-            if l.is_unary:
-                found[v].append(l)
-        labels = {}
-        for v, ls in found.items():
-            key = frozenset(ls)
-            labels[v] = _LABEL_SETS.setdefault(key, key)
-        return labels
+    @property
+    def nodes(self):
+        return self.labels.keys()
 
     @cached_property
     def colours(self) -> dict:
         """Node -> stable colour, independent of numbering (``_refine``)."""
         return _stable_colours(self)[0]
 
-    def node_labels(self, v) -> frozenset:
-        """Unary labels carried by node ``v`` (its self-loops)."""
-        if v not in self.nodes:
-            raise GraphError(f"unknown node id {v}")
-        return self.labels[v]
 
-    def binary_edges(self) -> frozenset:
-        return frozenset(e for e in self.edges if not e[1].is_unary)
+@dataclass(frozen=True)
+class Graph(Labelled):
+    labels: dict       # node -> frozenset of unary labels
+    edges: frozenset   # binary edges (source id, Label, target id)
+
+    def __post_init__(self):
+        if any(not l.is_unary for ls in self.labels.values() for l in ls):
+            raise GraphError("binary label in a node's label set")
+        for v, l, w in self.edges:
+            if v not in self.labels or w not in self.labels:
+                raise GraphError(f"edge ({v},{l},{w}) has endpoint outside node set")
+            if l.is_unary:
+                raise GraphError(f"unary label {l.text} on edge ({v},{w})")
+
+    def __hash__(self):
+        return hash((frozenset(self.labels.items()), self.edges))
 
     def relabel(self, mapping) -> "Graph":
         """Rename node ids through ``mapping`` (a node-id bijection)."""
-        return graph((mapping[v] for v in self.nodes),
-                     ((mapping[s], l, mapping[t]) for (s, l, t) in self.edges))
+        return Graph({mapping[v]: ls for v, ls in self.labels.items()},
+                     frozenset((mapping[s], l, mapping[t]) for (s, l, t) in self.edges))
 
     def __repr__(self):
-        return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"Graph({len(self.labels)} nodes, {len(self.edges)} edges)"
 
 
 def graph(nodes, edges=()) -> Graph:
-    return Graph(frozenset(nodes), frozenset(edges))
+    """The graph of ``nodes`` and ``edges``, where a unary label is
+    written as a self-loop on the node that carries it."""
+    labels = {v: set() for v in nodes}
+    binary = []
+    for (v, l, w) in edges:
+        if not (l.is_unary and v == w):
+            binary.append((v, l, w))
+        elif v in labels:
+            labels[v].add(l)
+        else:
+            raise GraphError(f"label {l.text} on undeclared node {v}")
+    return Graph({v: frozenset(ls) for v, ls in labels.items()}, frozenset(binary))
 
 
 # --- canonical form -------------------------------------------------------
@@ -155,32 +153,25 @@ def _refine(colour: dict, near: dict) -> dict:
         cells = len(rank)
 
 
-def _stable_colours(g: Graph):
+def _stable_colours(g: Labelled):
     """The stable colouring (refined once, then kept as ``g.colours``),
     sorted unary label texts per node, sorted binary label texts, and
     per node ``(2i or 2i + 1, neighbour)`` pairs."""
-    texts = {v: [] for v in g.nodes}
-    binary = []
-    for e in g.edges:
-        if e[1].is_unary:
-            texts[e[0]].append(e[1].text)
-        else:
-            binary.append(e)
-    code = {t: 2 * i for i, t in enumerate(sorted({l.text for _, l, _ in binary}))}
-    near = {v: [] for v in g.nodes}
-    for (v, l, w) in binary:
+    texts = {v: tuple(sorted(l.text for l in ls)) for v, ls in g.labels.items()}
+    code = {t: 2 * i for i, t in enumerate(sorted({l.text for _, l, _ in g.edges}))}
+    near = {v: [] for v in texts}
+    for (v, l, w) in g.edges:
         near[v].append((code[l.text], w))
         near[w].append((code[l.text] + 1, v))
-    texts = {v: tuple(sorted(ts)) for v, ts in texts.items()}
     colour = g.__dict__.get("colours")
-    if colour is None:   # refine at most once per graph
+    if colour is None:   # refine at most once per record
         order = sorted(set(texts.values()))
         colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
         g.__dict__["colours"] = colour
     return colour, texts, list(code), near
 
 
-def canonical(g: Graph):
+def canonical(g: Labelled):
     """Canonical form, equal exactly for isomorphic graphs, and the
     labelling that gives it: node -> position in the least leaf.
 
@@ -199,7 +190,7 @@ def canonical(g: Graph):
     by their labellings are equal.
     """
     colour, texts, tags, near = _stable_colours(g)
-    n, t = len(g.nodes), len(tags)
+    n, t = len(g.labels), len(tags)
     edges = [(v, c // 2, w) for v, ns in near.items() for c, w in ns if c % 2 == 0]
 
     def least(colour):
@@ -230,29 +221,32 @@ def canonical(g: Graph):
     return repr((n, sorted(texts.values()), tags, code)), labelling
 
 
-def certificate(g: Graph) -> str:
+def certificate(g: Labelled) -> str:
     return canonical(g)[0]
 
 
 # --- morphism and isomorphism search --------------------------------------
 
 
-def morphisms(pattern: Graph, host: Graph, injective: bool,
+def morphisms(pattern: Labelled, host: Labelled, injective: bool,
               base: dict | None = None, avoid=(), candidates: dict | None = None):
-    """All label/structure-preserving node maps of ``pattern`` into ``host``.
+    """All label/structure-preserving node maps of ``pattern`` into ``host``:
+    each node's labels are among its image's, each edge's image is an edge.
 
     ``base`` pins a partial assignment; ``avoid`` blocks host nodes as
     images for the unpinned pattern nodes; ``candidates`` lists, per
     unpinned pattern node, its possible images in search order (every
     host node by default).  Nodes with fewer candidates are placed
     first, and each pattern edge is checked as soon as both of its
-    ends are placed.
+    ends are placed.  A stack of candidate iterators, one per placed
+    node, stands in for recursion, so large patterns fit.
     """
     mapping = dict(base or {})
+    want, have = pattern.labels, host.labels
     if candidates is None:
-        every = sorted(host.nodes)
-        candidates = {v: every for v in pattern.nodes}
-    free = sorted((v for v in pattern.nodes if v not in mapping),
+        every = sorted(have)
+        candidates = {v: every for v in want}
+    free = sorted((v for v in want if v not in mapping),
                   key=lambda v: (len(candidates[v]), v))
     rank = {v: i for i, v in enumerate(free, 1)}
     checks = [[] for _ in range(len(free) + 1)]
@@ -264,45 +258,54 @@ def morphisms(pattern: Graph, host: Graph, injective: bool,
     def placed(i):
         return all((mapping[v], l, mapping[w]) in edges for (v, l, w) in checks[i])
 
-    def extend(i):
-        if i == len(free):
-            yield dict(mapping)
-            return
+    if not placed(0) or any(not want[v] <= have[x] for v, x in mapping.items()):
+        return
+    if not free:
+        yield dict(mapping)
+        return
+    stack = [iter(candidates[free[0]])]
+    while stack:
+        i = len(stack) - 1
         v = free[i]
-        for x in candidates[v]:
-            if x in avoid or x in used:
+        used.discard(mapping.pop(v, None))
+        for x in stack[i]:
+            if x in avoid or x in used or not want[v] <= have[x]:
                 continue
             mapping[v] = x
             if placed(i + 1):
-                if injective:
-                    used.add(x)
-                yield from extend(i + 1)
-                used.discard(x)
-        mapping.pop(v, None)
+                break
+            del mapping[v]
+        else:
+            stack.pop()
+            continue
+        if injective:
+            used.add(x)
+        if i + 1 == len(free):
+            yield dict(mapping)
+        else:
+            stack.append(iter(candidates[free[i + 1]]))
 
-    if placed(0):
-        yield from extend(0)
 
+def isomorphisms(g: Labelled, h: Labelled):
+    """Yield every node bijection preserving labels and edges both ways.
 
-def isomorphisms(g: Graph, h: Graph):
-    """Yield every node bijection preserving edges in both directions.
-
-    Only same-colour nodes are candidate images.  With equal node and
-    edge counts, an injective edge-preserving map is a bijection on
-    nodes and on edges, so its inverse preserves edges too.
+    Only same-colour nodes are candidate images.  With equal node, edge
+    and label counts, an injective map that keeps labels and edges is a
+    bijection on each, so its inverse keeps them too.
     """
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
+    if (len(g.labels), len(g.edges), sum(map(len, g.labels.values()))) != \
+            (len(h.labels), len(h.edges), sum(map(len, h.labels.values()))):
         return
     cg, ch = g.colours, h.colours
     if sorted(cg.values()) != sorted(ch.values()):
         return
     by_colour = {}
-    for w in sorted(h.nodes):
+    for w in sorted(h.labels):
         by_colour.setdefault(ch[w], []).append(w)
     yield from morphisms(g, h, True,
-                         candidates={v: by_colour[cg[v]] for v in g.nodes})
+                         candidates={v: by_colour[cg[v]] for v in g.labels})
 
 
-def find_isomorphism(g: Graph, h: Graph):
+def find_isomorphism(g: Labelled, h: Labelled):
     """First isomorphism between ``g`` and ``h`` as a node map, or None."""
     return next(isomorphisms(g, h), None)

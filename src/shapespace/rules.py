@@ -8,9 +8,11 @@ apply, then ``shapes.normalise``; the concrete pipeline is match / apply.
 
 Each rewrite branch is a ``shapes.Shape``: ``materialise`` builds one
 per branch, ``apply`` rewrites it in place, and ``normalise`` folds it
-into the successor.  None of them builds a Graph; only ``prematch``
-reads the state's.  Materialisation builds only valid, pairwise
-distinct branches.  Matches are plain node maps.
+into the successor; ``prematch`` searches the state itself.  None of
+them builds a Graph.  A rule's unary labels are self-loops: its LHS and
+negative condition read them as label sets, and ``concrete_apply`` as
+label-set edits.  Materialisation builds only valid, pairwise distinct
+branches.  Matches are plain node maps.
 
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
@@ -83,7 +85,6 @@ class Rule:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
         self._lhs = graph(self.nodes_with(READER, ERASER),
                           ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
-        self._lhs_binary = self._lhs.binary_edges()
 
     def nodes_with(self, *roles):
         return sorted(v for v, r in self.node_roles.items() if r in roles)
@@ -127,30 +128,32 @@ def concrete_matches(rule: Rule, g: Graph):
 
 
 def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
-    """SPO rewrite of ``g`` at match ``phi``."""
-    erased_nodes = {phi[v] for v in rule.nodes_with(ERASER)}
-    erased_edges = {(phi[v], l, phi[w]) for (v, l, w, _) in rule.edges_with(ERASER)}
-    nodes = set(g.nodes) - erased_nodes
-    edges = {e for e in g.edges
-             if e not in erased_edges
-             and e[0] not in erased_nodes and e[2] not in erased_nodes}
-    fresh = itertools.count(max(g.nodes, default=-1) + 1)
+    """SPO rewrite of ``g`` at match ``phi``: erasures first, then
+    creations; a unary loop edits its node's label set."""
+    erased = {phi[v] for v in rule.nodes_with(ERASER)}
+    labels = {v: ls for v, ls in g.labels.items() if v not in erased}
+    edges = {e for e in g.edges if e[0] not in erased and e[2] not in erased}
+    fresh = itertools.count(max(g.labels, default=-1) + 1)
     out_map = dict(phi)
     for v in rule.nodes_with(CREATOR):
         out_map[v] = next(fresh)
-        nodes.add(out_map[v])
-    for (v, l, w, _) in rule.edges_with(CREATOR):
-        edges.add((out_map[v], l, out_map[w]))
-    return graph(nodes, edges)
+        labels[out_map[v]] = frozenset()
+    for (v, l, w, role) in rule.edges_with(ERASER) + rule.edges_with(CREATOR):
+        x = out_map[v]
+        if not l.is_unary:
+            (edges.discard if role == ERASER else edges.add)((x, l, out_map[w]))
+        elif x in labels:   # not an erased node
+            labels[x] = labels[x] - {l} if role == ERASER else labels[x] | {l}
+    return Graph(labels, frozenset(edges))
 
 
 # --- abstract engine: prematch -------------------------------------------
 
 
 def prematch(rule: Rule, s: Shape):
-    """Possibly non-injective morphisms of the LHS into the shape graph
+    """Possibly non-injective morphisms of the LHS into the shape
     whose shared images remain multiplicity-feasible."""
-    out = [m for m in morphisms(rule.lhs(), s.graph, injective=False)
+    out = [m for m in morphisms(rule.lhs(), s, injective=False)
            if _prematch_feasible(rule, m, s)]
     out.sort(key=lambda m: sorted(m.items()))
     return out
@@ -160,7 +163,7 @@ def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
     for u, k in Counter(m.values()).items():
         if k > s.node_mult[u].max_count:
             return False
-    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule._lhs_binary)
+    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule.lhs().edges)
     for (v, l, w), k in shared.items():
         if k > 1 and k > min(
                 s.node_mult[slot[0]].max_count * s.slots[slot].max_count
@@ -215,7 +218,7 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     for u, (ps, r) in parts.items():
         labels.update((p, labels[u]) for p in (*ps, r))
     pinned = {}      # slot of a part -> matched neighbours it must keep
-    for (x, l, y) in rule._lhs_binary:
+    for (x, l, y) in rule.lhs().edges:
         out_slot, in_slot = edge_slots(labels, assign[x], l, assign[y])
         pinned.setdefault(out_slot, set()).add(assign[y])
         pinned.setdefault(in_slot, set()).add(assign[x])

@@ -6,10 +6,9 @@ equality (radius-0 neighbourhood equivalence), so a similarity block is
 identified by its label set.  Edge multiplicities live in one table of
 slots: a slot is ``(node, direction, binary label, label set at the
 other end)`` with direction ``"out"`` or ``"in"``, and each binary edge
-supports two slots, given by ``edge_slots``.  A shape builds its
-``Graph`` (labels as self-loops) only when matching, a certificate or
-an isomorphism search needs it; the rewrite pipeline reads and writes
-the record.
+supports two slots, given by ``edge_slots``.  A shape's ``labels`` and
+``edges`` are laid out as a ``Graph``'s, so matching, certificates and
+isomorphism search take the shape itself.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, certificate, isomorphisms
+from .graphs import Graph, Labelled, certificate, isomorphisms
 from . import multiplicity as mult
 from .multiplicity import approx_card, subsumes
 
@@ -34,7 +33,7 @@ def edge_slots(labels, v, l, w):
 
 
 @dataclass
-class Shape:
+class Shape(Labelled):
     """Node multiplicities, label sets, binary edges and slots.
 
     ``slots`` maps slot keys to edge multiplicities: how many such edges
@@ -53,13 +52,6 @@ class Shape:
     slots: dict       # slot key -> multiplicity
 
     @functools.cached_property
-    def graph(self) -> Graph:
-        """The shape's graph, built once: only for shapes that are no
-        longer rewritten."""
-        loops = [(v, l, v) for v, ls in self.labels.items() for l in ls]
-        return Graph(frozenset(self.node_mult), frozenset([*self.edges, *loops]))
-
-    @functools.cached_property
     def _hash(self) -> int:
         return hash((frozenset(self.node_mult.items()), frozenset(self.labels.items()),
                      frozenset(self.edges), frozenset(self.slots.items())))
@@ -69,7 +61,7 @@ class Shape:
 
     def validate(self):
         """Raise ShapeError when the shape invariants do not hold.  It
-        reads the four fields only and never builds ``graph``, which
+        reads the four fields only and never caches ``colours``, which
         would go stale on a branch that ``apply`` rewrites later."""
         nodes = self.node_mult.keys()
         if self.labels.keys() != nodes:
@@ -100,9 +92,8 @@ class Shape:
 def _concrete(g: Graph) -> Shape:
     """``g`` as a shape: each node of multiplicity 1, and each slot
     holding its approximated edge count."""
-    edges = g.binary_edges()
-    counts = Counter(slot for e in edges for slot in edge_slots(g.labels, *e))
-    return Shape(dict.fromkeys(g.nodes, mult.ONE), g.labels, edges,
+    counts = Counter(slot for e in g.edges for slot in edge_slots(g.labels, *e))
+    return Shape(dict.fromkeys(g.labels, mult.ONE), g.labels, g.edges,
                  {slot: approx_card(n) for slot, n in counts.items()})
 
 
@@ -183,14 +174,14 @@ def compare_shapes(s: Shape, t: Shape):
     """Subsumption in both directions with a single isomorphism search.
 
     Returns ``(s_below_t, t_below_s)`` where each entry is a witness
-    node map ``s.graph -> t.graph`` (respectively its direction) or
+    node map ``s -> t`` (respectively its direction) or
     None; an empty shape's witness is ``{}``, so test ``is not None``.
     Every graph isomorphism is tried before a direction is declared to
     fail; one failing candidate proves nothing.
     """
     wit_st = None
     wit_ts = None
-    for phi in isomorphisms(s.graph, t.graph):
+    for phi in isomorphisms(s, t):
         inv = {w: v for v, w in phi.items()}
         if wit_st is None and _mults_below(s, t, phi):
             wit_st = phi
@@ -205,17 +196,17 @@ class Frame:
     """Canonical coordinates of the shapes over one graph (up to
     isomorphism): node multiplicities by position in the labelling of
     ``graphs.canonical``, then slots, keyed ``(position, direction,
-    label, key)``, in sorted text order.  ``perms`` holds the graph's
-    other automorphisms, found once by the full ``isomorphisms``, as
-    index permutations.  A shape is below another exactly when, under
-    some automorphism, every entry is below the other's."""
+    label, key)``, each at the place ``index`` gives.  ``perms`` holds
+    the graph's other automorphisms, found once by the full
+    ``isomorphisms``, as index permutations.  A shape is below another
+    exactly when, under some automorphism, every entry is below the
+    other's."""
 
     def __init__(self, s: Shape, labelling: dict):
-        keys = sorted(((labelling[v], *rest) for v, *rest in s.slots),
-                      key=lambda k: (k[:2], k[2].text, sorted(x.text for x in k[3])))
+        keys = [(labelling[v], *rest) for v, *rest in s.slots]
         self.index = {k: i for i, k in enumerate(keys, len(s.node_mult))}
         self.perms = []
-        for phi in isomorphisms(s.graph, s.graph):
+        for phi in isomorphisms(s, s):
             sigma = {labelling[v]: labelling[w] for v, w in phi.items()}
             if any(p != q for p, q in sigma.items()):
                 self.perms.append((*(sigma[p] for p in range(len(sigma))),
@@ -252,6 +243,6 @@ def strictly_isomorphic(s: Shape, t: Shape) -> bool:
 def covered(g: Graph, states) -> bool:
     """Whether some shape in ``states`` subsumes the abstraction of ``g``."""
     s = abstract(g)
-    cert = certificate(s.graph)
+    cert = certificate(s)
     return any(compare_shapes(s, t)[0] is not None
-               for t in states if certificate(t.graph) == cert)
+               for t in states if certificate(t) == cert)

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from shapespace import GraphError, Label, binary, graph, unary
+from shapespace import Graph, GraphError, Label, binary, graph, unary
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -52,8 +52,8 @@ def cycles(*lengths, both_ways=False):
 def union(g, h):
     """Disjoint union, ``h``'s nodes renumbered after ``g``'s."""
     shift = {v: len(g.nodes) + i for i, v in enumerate(sorted(h.nodes))}
-    return graph(set(g.nodes) | set(shift.values()),
-                 set(g.edges) | {(shift[v], l, shift[w]) for (v, l, w) in h.edges})
+    return Graph({**g.labels, **{shift[v]: ls for v, ls in h.labels.items()}},
+                 g.edges | {(shift[v], l, shift[w]) for (v, l, w) in h.edges})
 
 
 def star(*leaf_labels):
@@ -69,12 +69,14 @@ def rng():
 
 
 def is_morphism(phi: dict, g, h) -> bool:
-    """Check the structure/label preservation condition of ``phi : g -> h``."""
+    """Check the structure/label preservation condition of ``phi : g -> h``:
+    each node's labels are among its image's, each edge maps to an edge."""
     if set(phi) != set(g.nodes):
         return False
     if not set(phi.values()) <= set(h.nodes):
         return False
-    return all((phi[v], l, phi[w]) in h.edges for (v, l, w) in g.edges)
+    return (all(g.labels[v] <= h.labels[phi[v]] for v in g.nodes)
+            and all((phi[v], l, phi[w]) in h.edges for (v, l, w) in g.edges))
 
 
 def inverse(phi: dict) -> dict:
@@ -84,7 +86,8 @@ def inverse(phi: dict) -> dict:
 
 
 def brute_force_isomorphism(g, h):
-    """Oracle: enumerate all bijections (only sensible for tiny graphs)."""
+    """Oracle: enumerate all bijections (only sensible for tiny graphs);
+    morphisms both ways make the label sets equal."""
     if len(g.nodes) != len(h.nodes):
         return None
     gs = sorted(g.nodes)

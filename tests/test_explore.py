@@ -216,14 +216,10 @@ def test_relabel_next_to_unmatched_collector_is_covered():
             assert covered(g, shapes)
 
 
-def test_abstract_successors_build_no_graph(monkeypatch):
-    # A successor stays a Shape record from ``materialise`` through
-    # ``normalise``; only ``prematch`` reads a graph, the state's own.
+def test_abstract_exploration_builds_no_graph(monkeypatch):
+    # States stay Shape records from the start state's abstraction on:
+    # matching, bucket keys and automorphism searches read the shape.
     grammar = load_bundled("firewall-4")
-    ts, _ = run(grammar, strategy="dfs", subsumption=True)
-    engine = make_engine(grammar, "abstract")
-    for s in ts.states.values():
-        s.graph      # built when the state was stored or first expanded
     built = 0
     check = Graph.__post_init__
 
@@ -233,8 +229,8 @@ def test_abstract_successors_build_no_graph(monkeypatch):
         check(g)
 
     monkeypatch.setattr(Graph, "__post_init__", counting)
-    successors = sum(len(engine.successors(s)) for s in ts.states.values())
-    assert successors > 2000
+    _, stats = run(grammar, strategy="dfs", subsumption=True)
+    assert (stats.generated, stats.transitions_generated, stats.complete) == (267, 1611, True)
     assert built == 0
 
 

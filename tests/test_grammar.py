@@ -104,7 +104,7 @@ def test_firewall_2_shape_of_contents():
     assert [r.name for r in g.rules] == [
         "new-safe", "new-unsafe", "mv-pckt", "mv-pckt-rev", "fw-in"]
     locations = [v for v in g.start.nodes
-                 if any(l.text == "L" for l in g.start.node_labels(v))]
+                 if any(l.text == "L" for l in g.start.labels[v])]
     assert len(locations) == 2
 
 

@@ -24,12 +24,26 @@ def test_unary_labels_are_self_loops_only():
     with pytest.raises(GraphError):
         graph([0, 1], [(0, A, 1)])
     g = graph([0], [(0, A, 0)])
-    assert g.node_labels(0) == frozenset({A})
+    assert g.labels[0] == frozenset({A}) and g.edges == frozenset()
 
 
 def test_edges_need_declared_endpoints():
     with pytest.raises(GraphError):
         graph([0], [(0, e, 1)])
+
+
+def test_labels_and_edges_keep_their_arity():
+    with pytest.raises(GraphError, match="binary label"):
+        Graph({0: frozenset({e})}, frozenset())
+    with pytest.raises(GraphError, match="unary label A"):
+        Graph({0: frozenset(), 1: frozenset()}, frozenset({(0, A, 1)}))
+    with pytest.raises(GraphError, match="unary label A"):
+        Graph({0: frozenset()}, frozenset({(0, A, 0)}))
+    with pytest.raises(GraphError, match="undeclared node 1"):
+        graph([0], [(1, A, 1)])
+    g = graph([0, 1], [(0, A, 0), (0, e, 0), (0, f, 1)])
+    assert g == Graph({0: frozenset({A}), 1: frozenset()},
+                      frozenset({(0, e, 0), (0, f, 1)}))
 
 
 def test_label_arity_validation():
@@ -137,7 +151,7 @@ def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
     refine = graphs._refine
     monkeypatch.setattr(graphs, "_refine", lambda *a: calls.append(1) or refine(*a))
     g = graph(range(3), [(0, e, 1), (1, e, 2), (2, A, 2)])
-    fresh = graph(range(3), g.edges)
+    fresh = Graph(dict(g.labels), g.edges)
     if certificate_first:
         cert = certificate(g)
         colours = g.colours
@@ -218,7 +232,7 @@ def twin_rich(rng):
 def looped_star(*leaf_labels):
     """``star``, with an ``f`` self-loop on every leaf."""
     g = star(*leaf_labels)
-    return graph(g.nodes, g.edges | {(i, f, i) for i in range(1, len(leaf_labels) + 1)})
+    return Graph(g.labels, g.edges | {(i, f, i) for i in range(1, len(leaf_labels) + 1)})
 
 
 def random_star(rng):
@@ -232,8 +246,7 @@ def shuffled_labels(rng, g):
     nodes = sorted(g.nodes)
     sets = [g.labels[v] for v in nodes]
     rng.shuffle(sets)
-    return graph(nodes, g.binary_edges() | {(v, l, v) for v, ls in zip(nodes, sets)
-                                            for l in ls})
+    return Graph(dict(zip(nodes, sets)), g.edges)
 
 
 def test_certificate_exact_on_twin_rich_graphs(rng, monkeypatch):
@@ -261,7 +274,7 @@ def test_canonical_refines_once_when_every_cell_is_twins(monkeypatch):
     # on the leaves.  The stable colouring is then the only refinement.
     ts, _ = explore(load_bundled("firewall-6F"),
                     ExploreConfig(engine="concrete", max_depth=3))
-    fresh = [graph(g.nodes, g.edges) for g in ts.states.values()]
+    fresh = [Graph(dict(g.labels), g.edges) for g in ts.states.values()]
     fresh += [star(A, A), star(*[A] * 40, *[B] * 3), looped_star(A, A, A),
               looped_star(*[B] * 7, A)]
     calls = []
@@ -331,6 +344,23 @@ def test_isomorphism_agrees_with_brute_force(rng):
         fast = find_isomorphism(g, g2) is not None
         slow = brute_force_isomorphism(g, g2) is not None
         assert fast == slow
+
+
+def test_find_isomorphism_of_large_twin_star():
+    # 1,200 leaves: the search keeps its placed nodes on a stack, not
+    # one recursion level each
+    g = star(*[A] * 1200)
+    h = permuted(random.Random(5), g)
+    phi = find_isomorphism(g, h)
+    assert phi is not None and is_morphism(phi, g, h) and is_morphism(inverse(phi), h, g)
+    assert find_isomorphism(g, star(*[A] * 1199, B)) is None
+
+
+def test_isomorphisms_keep_label_sets():
+    # one node each, no edges: only the label sets tell them apart
+    one, two = graph([0], [(0, A, 0)]), graph([0], [(0, A, 0), (0, B, 0)])
+    assert find_isomorphism(one, two) is None and find_isomorphism(two, one) is None
+    assert list(morphisms(one, two, True)) == [{0: 0}]
 
 
 def test_isomorphisms_are_isomorphisms(rng):

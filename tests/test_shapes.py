@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Shape,
+from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Graph, Shape,
                         ShapeError, abstract, binary, canonical, certificate,
                         compare_shapes, covered, graph, isomorphisms,
                         neighbourhood_partition, normalise, shape_subsumes,
@@ -79,19 +79,19 @@ def test_abstract_block_multiplicities():
     s = abstract(two_location_world())
     sizes = sorted(s.node_mult.values(), key=lambda m: (m.lo, m.hi))
     assert sizes == [ONE, ONE, TWO_PLUS, TWO_PLUS]
-    for v in s.graph.nodes:
+    for v in s.nodes:
         assert s.node_mult[v].is_concrete == (s.node_mult[v] == ONE)
 
 
 def test_abstract_edge_multiplicities():
     s = abstract(two_location_world())
-    outer_packets = next(v for v in s.graph.nodes
+    outer_packets = next(v for v in s.nodes
                          if s.labels[v] == frozenset({P})
                          and s.node_mult[v] == TWO_PLUS
                          and any(e[0] == v and e[1] == at and
                                  s.labels[e[2]] == frozenset({L, O})
-                                 for e in s.graph.binary_edges()))
-    outer_loc = next(v for v in s.graph.nodes
+                                 for e in s.edges))
+    outer_loc = next(v for v in s.nodes
                      if s.labels[v] == frozenset({L, O}))
     # each packet sits at exactly one place; the location hosts three
     assert s.slots[outer_packets, "out", at, s.labels[outer_loc]] == ONE
@@ -119,7 +119,7 @@ def test_validate_rejects_broken_shapes():
              "not a binary edge between nodes")):
         with pytest.raises(ShapeError, match=reason):
             broken.validate()
-        assert "graph" not in vars(broken)   # validate never builds the graph
+        assert "colours" not in vars(broken)   # validate caches no colouring
 
 
 # --- subsumption ----------------------------------------------------------
@@ -186,9 +186,9 @@ def test_shape_subsumption_order_laws(rng):
 def edgewise_below(s, t, phi):
     """Oracle: the multiplicity check edge by edge, both slots of each
     edge looked up through the label sets at both ends."""
-    if not all(subsumes(t.node_mult[phi[v]], s.node_mult[v]) for v in s.graph.nodes):
+    if not all(subsumes(t.node_mult[phi[v]], s.node_mult[v]) for v in s.nodes):
         return False
-    for (v, l, w) in s.graph.binary_edges():
+    for (v, l, w) in s.edges:
         pairs = [((v, "out", l, s.labels[w]), (phi[v], "out", l, t.labels[phi[w]])),
                  ((w, "in", l, s.labels[v]), (phi[w], "in", l, t.labels[phi[v]]))]
         for ks, kt in pairs:
@@ -205,7 +205,7 @@ def test_compare_shapes_agrees_with_edgewise_check(rng):
         base = abstract(permuted(rng, g))
         for t in (relaxed(rng, s), relaxed(rng, base), base):
             for a, b in ((s, t), (t, s)):
-                isos = [dict(phi) for phi in isomorphisms(a.graph, b.graph)]
+                isos = [dict(phi) for phi in isomorphisms(a, b)]
                 expect = any(edgewise_below(a, b, phi) for phi in isos)
                 got = compare_shapes(a, b)[0] is not None
                 assert got == expect
@@ -220,9 +220,9 @@ def coordinate_compare(s, t, first):
     """``(s below t, t below s)`` as the store decides it, in the frame
     that ``first`` (a shape over an isomorphic graph) opened; and
     whether that frame has an automorphism besides the identity."""
-    frame = Frame(first, canonical(first.graph)[1])
-    old = frame.orbit(t, canonical(t.graph)[1])[0]
-    return frame.compare(frame.orbit(s, canonical(s.graph)[1]), old), bool(frame.perms)
+    frame = Frame(first, canonical(first)[1])
+    old = frame.orbit(t, canonical(t)[1])[0]
+    return frame.compare(frame.orbit(s, canonical(s)[1]), old), bool(frame.perms)
 
 
 def with_mult(s, v, mu):
@@ -256,8 +256,8 @@ def test_coordinate_subsumption_agrees_with_compare_shapes(rng):
         pairs.append((_concrete(g), _concrete(permuted(rng, g))))
     hits, symmetric = [0, 0], 0
     for s, t in pairs:
-        assert certificate(s.graph) == certificate(t.graph)
-        first = _concrete(permuted(rng, t.graph))
+        assert certificate(s) == certificate(t)
+        first = _concrete(permuted(rng, Graph(t.labels, frozenset(t.edges))))
         (below, above), has_automorphism = coordinate_compare(s, t, first)
         assert (below, above) == tuple(w is not None for w in compare_shapes(s, t))
         hits[below] += 1
@@ -270,14 +270,14 @@ def test_coordinate_subsumption_agrees_with_compare_shapes(rng):
 
 
 def test_certificate_ignores_multiplicities():
-    assert certificate(pshape(ONE).graph) == certificate(pshape(TWO_PLUS).graph)
+    assert certificate(pshape(ONE)) == certificate(pshape(TWO_PLUS))
 
 
 def test_mutually_subsumable_shapes_share_certificates(rng):
     for _ in range(100):
         s = abstract(random_graph(rng))
         t = relaxed(rng, s)
-        assert certificate(s.graph) == certificate(t.graph)
+        assert certificate(s) == certificate(t)
 
 
 # --- normal shapes --------------------------------------------------------
@@ -304,7 +304,7 @@ def test_normal_shapes_are_equal_exactly_when_strictly_isomorphic(rng):
     equal = 0
     for s in shapes:
         for t in shapes:
-            if certificate(s.graph) == certificate(t.graph):
+            if certificate(s) == certificate(t):
                 assert strictly_isomorphic(s, t) == (s == t)
                 equal += s == t
     assert equal > 2 * len(shapes)
@@ -319,7 +319,7 @@ def test_equal_shapes_hash_equal_and_shared_graphs_hash_apart(rng):
         s = abstract(g)
         for t in (s, abstract(permuted(rng, g)),
                   relaxed(rng, s), relaxed(rng, s), normalise(relaxed(rng, s))):
-            by_graph.setdefault(t.graph, []).append(t)
+            by_graph.setdefault(Graph(t.labels, t.edges), []).append(t)
     equal = unequal = apart = 0
     for group in by_graph.values():
         for s, t in itertools.combinations(group, 2):

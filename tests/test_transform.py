@@ -24,18 +24,18 @@ def concrete_shape(g):
     node_mult = {v: ONE for v in g.nodes}
     slots = {}
     for v in g.nodes:
-        for (a, l, b) in g.binary_edges():
+        for (a, l, b) in g.edges:
             if a == v:
-                key = (v, "out", l, g.node_labels(b))
+                key = (v, "out", l, g.labels[b])
                 slots[key] = approx_card(len(
-                    [e for e in g.binary_edges()
-                     if e[0] == v and e[1] == l and g.node_labels(e[2]) == g.node_labels(b)]))
+                    [e for e in g.edges
+                     if e[0] == v and e[1] == l and g.labels[e[2]] == g.labels[b]]))
             if b == v:
-                key = (v, "in", l, g.node_labels(a))
+                key = (v, "in", l, g.labels[a])
                 slots[key] = approx_card(len(
-                    [e for e in g.binary_edges()
-                     if e[2] == v and e[1] == l and g.node_labels(e[0]) == g.node_labels(a)]))
-    s = Shape(node_mult, dict(g.labels), g.binary_edges(), slots)
+                    [e for e in g.edges
+                     if e[2] == v and e[1] == l and g.labels[e[0]] == g.labels[a]]))
+    s = Shape(node_mult, dict(g.labels), g.edges, slots)
     s.validate()
     return s
 
@@ -111,7 +111,7 @@ def test_concrete_apply_creates_fresh_nodes():
     h = concrete_apply(new_packet_rule(), ms[0], g)
     assert len(h.nodes) == 4
     fresh = next(iter(h.nodes - g.nodes))
-    assert h.node_labels(fresh) == frozenset({P})
+    assert h.labels[fresh] == frozenset({P})
 
 
 def test_spo_deletion_drops_incident_edges():
@@ -146,9 +146,9 @@ def test_label_flip_concrete():
     assert len(ms) == 1 and ms[0][0] == 1
     h = concrete_apply(append_rule(), ms[0], g)
     assert len(h.nodes) == 3
-    assert h.node_labels(1) == frozenset({C})        # mark removed
+    assert h.labels[1] == frozenset({C})        # mark removed
     fresh = next(iter(h.nodes - g.nodes))
-    assert h.node_labels(fresh) == frozenset({C, last})
+    assert h.labels[fresh] == frozenset({C, last})
 
 
 # --- prematch -------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_prematch_allows_noninjective_on_collectors():
                ((0, L, 0, READER), (1, P, 1, READER), (2, P, 2, READER),
                 (1, at, 0, READER), (2, at, 0, READER)))
     ms = prematch(two, s)
-    packets = next(v for v in s.graph.nodes if s.labels[v] == frozenset({P}))
+    packets = next(v for v in s.nodes if s.labels[v] == frozenset({P}))
     assert any(m[1] == m[2] == packets for m in ms)
 
 
@@ -234,7 +234,7 @@ def optional_remainder():
     the remainder may be empty or not, one branch each."""
     g = graph(range(2), [(0, L, 0), (1, P, 1), (1, at, 0)])
     s = abstract(g)
-    v = next(v for v in s.graph.nodes if s.labels[v] == frozenset({P}))
+    v = next(v for v in s.nodes if s.labels[v] == frozenset({P}))
     s = Shape({**s.node_mult, v: ONE_PLUS}, s.labels, s.edges, dict(s.slots))
     r = Rule("grab", {0: READER, 1: READER},
              ((0, L, 0, READER), (1, P, 1, READER), (1, at, 0, READER)))
@@ -362,7 +362,7 @@ def test_apply_lowers_only_the_lower_bound_next_to_a_collector():
 def test_normalise_merges_equal_signatures():
     g = graph([0, 1], [(0, P, 0), (1, P, 1)])
     s = normalise(concrete_shape(g))
-    assert len(s.graph.nodes) == 1
+    assert len(s.nodes) == 1
     assert list(s.node_mult.values()) == [TWO_PLUS]
 
 
