@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import (Graph, canonical, certificate as graph_certificate,
-                     find_isomorphism)
+                     find_isomorphism, twins)
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
                     materialise, prematch)
 from .shapes import Frame, Shape, ShapeError, abstract, compare_shapes, normalise
@@ -107,7 +107,13 @@ class TransitionSystem:
 
 class ConcreteEngine:
     """States are plain graphs, identified by their canonical form.  A
-    graph subsumes only its isomorphic copies: no subsumption scan."""
+    graph subsumes only its isomorphic copies: no subsumption scan.
+
+    Matches whose images lie in the same twin classes (``twins``) differ
+    by an automorphism of the state, so their successors are isomorphic:
+    the rule is applied once per such orbit, and that one ``Graph``,
+    which keeps its certificate once computed, is the target of every
+    match in the orbit, each under its own transition label."""
 
     bucket = None
 
@@ -118,18 +124,26 @@ class ConcreteEngine:
         return self.grammar.start
 
     def identity(self, g: Graph) -> str:
-        return graph_certificate(g)
+        # Kept on the record, beside its colours: a graph is certified once.
+        if "certificate" not in vars(g):
+            vars(g)["certificate"] = graph_certificate(g)
+        return vars(g)["certificate"]
 
     def compare(self, g: Graph, h: Graph):
         iso = find_isomorphism(g, h) is not None
         return iso, iso
 
     def successors(self, g: Graph):
+        twin = twins(g)
         out = []
         for rule in self.grammar.rules:
+            made = {}   # orbit: the twin classes of the images -> successor
             for m in concrete_matches(rule, g):
-                out.append(((rule.name, tuple(sorted(m.items()))),
-                            concrete_apply(rule, m, g)))
+                label = tuple(sorted(m.items()))
+                orbit = tuple(twin[x] for _, x in label)
+                if orbit not in made:
+                    made[orbit] = concrete_apply(rule, m, g)
+                out.append(((rule.name, label), made[orbit]))
         return out
 
 
@@ -164,6 +178,7 @@ class AbstractEngine:
         out = []
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
+                label = (rule.name, tuple(sorted(m.items())))
                 try:
                     mats = materialise(rule, m, s)
                 except ShapeError as exc:
@@ -173,7 +188,7 @@ class AbstractEngine:
                         t = apply(rule, branch, match)
                     except ApplyInfeasible:
                         continue
-                    out.append(((rule.name, tuple(sorted(m.items()))), normalise(t)))
+                    out.append((label, normalise(t)))
         # Canonical order: least abstract first.  The DFS stack then
         # pops the most abstract successor first, which reaches the
         # subsuming fixpoint states early and prunes harder.
@@ -200,10 +215,12 @@ def make_engine(grammar, name: str):
 
 class _Store:
     """State store with the two freshness policies: ``live`` maps the
-    identity of each unmarked state to its id; with subsumption on,
-    ``buckets`` hold the unmarked states, each bucket an antichain: a
-    ``Frame``, made with the bucket, and its members, id -> coordinates.
-    The scan compares coordinates, with no isomorphism search."""
+    exact record and the identity of each unmarked state to its id (a
+    normal shape is both), and an identity is computed only on a miss of
+    the record; with subsumption on, ``buckets`` hold the unmarked
+    states, each bucket an antichain: a ``Frame``, made with the bucket,
+    and its members, id -> coordinates.  The scan compares coordinates,
+    with no isomorphism search."""
 
     def __init__(self, engine, subsumption: bool):
         self.engine = engine
@@ -221,8 +238,9 @@ class _Store:
         carries them to the caller for frontier trimming.
         """
         self.newly_marked = []
-        key = self.engine.identity(state)
-        i = self.live.get(key)
+        i = self.live.get(state)
+        if i is None and (key := self.engine.identity(state)) is not state:
+            i = self.live.get(key)
         if i is not None:
             return False, i
         members, orbit = {}, [None]
@@ -241,12 +259,13 @@ class _Store:
                 below.append(i)
         for j in below:
             del members[j]
-            del self.live[self.engine.identity(ts.states[j])]
+            del self.live[ts.states[j]]
+            self.live.pop(self.engine.identity(ts.states[j]), None)
             ts.marked.add(j)
             self.newly_marked.append(j)
         i = next(next_id)
         ts.states[i] = state
-        self.live[key] = i
+        self.live[state] = self.live[key] = i
         members[i] = orbit[0]
         return True, i
 

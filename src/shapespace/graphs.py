@@ -202,8 +202,7 @@ def canonical(g: Labelled):
                 return sorted([(colour[v] * t + k) * n + colour[w]
                                for v, k, w in edges]), colour
             x = min(c for c, vs in cells.items() if len(vs) > 1)
-            reps = {frozenset((c, -1 if w == v else w) for c, w in near[v]): v
-                    for v in cells[x]}
+            reps = {_twin_key(v, near): v for v in cells[x]}
             if len(reps) > 1:
                 break
             # One twin class: consecutive colours, last node first, as
@@ -219,6 +218,19 @@ def canonical(g: Labelled):
 
     code, labelling = least(colour)
     return repr((n, sorted(texts.values()), tags, code)), labelling
+
+
+def _twin_key(v, near) -> frozenset:
+    """What twins share: ``v``'s labelled neighbours, ``v`` itself as -1."""
+    return frozenset((c, -1 if w == v else w) for c, w in near[v])
+
+
+def twins(g: Labelled) -> dict:
+    """Node -> number of its twin class.  Twins have the same label set
+    and the same labelled neighbours, so swapping two is an automorphism."""
+    classes, near = {}, _stable_colours(g)[3]
+    return {v: classes.setdefault((g.labels[v], _twin_key(v, near)), len(classes))
+            for v in g.labels}
 
 
 def certificate(g: Labelled) -> str:

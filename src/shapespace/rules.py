@@ -83,40 +83,39 @@ class Rule:
                 raise RuleError(f"embargo edge must attach to reader nodes in {self.name}")
             if role == READER and not ends <= {READER}:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
-        self._lhs = graph(self.nodes_with(READER, ERASER),
-                          ((v, l, w) for (v, l, w, _) in self.edges_with(READER, ERASER)))
+        # Role lists, computed once: the rewrite pipelines read them per call.
+        self._nodes = {r: tuple(sorted(v for v, x in self.node_roles.items() if x == r))
+                       for r in ROLES}
+        self._edges = {r: tuple(e for e in self.edges if e[3] == r) for r in ROLES}
+        self._lhs = graph(sorted(self._nodes[READER] + self._nodes[ERASER]),
+                          ((v, l, w) for (v, l, w, r) in self.edges if r in (READER, ERASER)))
+        # The negative condition: its pattern and its reader nodes.
+        involved = {x for (v, _, w, _) in self._edges[EMBARGO] for x in (v, w)}
+        involved.update(self._nodes[EMBARGO])
+        self._nac = (graph(involved, ((v, l, w) for (v, l, w, _) in self._edges[EMBARGO])),
+                     [v for v in involved if self.node_roles[v] == READER])
+        self.has_nac = bool(involved)
 
-    def nodes_with(self, *roles):
-        return sorted(v for v, r in self.node_roles.items() if r in roles)
+    def nodes_with(self, role):
+        return self._nodes[role]
 
-    def edges_with(self, *roles):
-        return [e for e in self.edges if e[3] in roles]
+    def edges_with(self, role):
+        return self._edges[role]
 
     def lhs(self) -> Graph:
         return self._lhs
-
-    @property
-    def has_nac(self) -> bool:
-        return bool(self.nodes_with(EMBARGO)) or bool(self.edges_with(EMBARGO))
 
 
 # --- concrete engine ------------------------------------------------------
 
 
 def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
-    emb_nodes = rule.nodes_with(EMBARGO)
-    emb_edges = rule.edges_with(EMBARGO)
-    if not emb_nodes and not emb_edges:
+    if not rule.has_nac:
         return False
-    involved = set(emb_nodes)
-    for (v, _, w, _) in emb_edges:
-        involved |= {v, w}
-    base = {v: m[v] for v in involved if rule.node_roles[v] == READER}
-    pattern = graph(involved, ((v, l, w) for (v, l, w, _) in emb_edges))
+    pattern, readers = rule._nac
+    base = {v: m[v] for v in readers}
     avoid = set(m.values()) - set(base.values())
-    for _ in morphisms(pattern, g, injective=True, base=base, avoid=avoid):
-        return True
-    return False
+    return next(morphisms(pattern, g, injective=True, base=base, avoid=avoid), None) is not None
 
 
 def concrete_matches(rule: Rule, g: Graph):

@@ -1,13 +1,15 @@
 """Shared test fixtures: deterministic random graph generation, the
-symmetric graph families, and the brute-force morphism and isomorphism
-oracles."""
+symmetric graph families, the brute-force morphism and isomorphism
+oracles, and the concrete state space by definition."""
 
 import random
+from collections import deque
 from itertools import permutations
 
 import pytest
 
-from shapespace import Graph, GraphError, Label, binary, graph, unary
+from shapespace import Graph, GraphError, Label, binary, canonical, graph, unary
+from shapespace.rules import concrete_apply, concrete_matches
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -96,3 +98,36 @@ def brute_force_isomorphism(g, h):
         if is_morphism(m, g, h) and is_morphism(inverse(m), h, g):
             return m
     return None
+
+
+def reference_concrete(grammar, strategy, mode, max_depth):
+    """The concrete exploration by definition: every match is applied and
+    every successor certified.  Returns the certificates in id order,
+    the transitions (none in reach mode) and how many were generated."""
+    forms, states, ids, transitions, generated = [], [], {}, set(), 0
+
+    def store(g):
+        form = canonical(g)[0]
+        if form in ids:
+            return ids[form], False
+        ids[form] = len(forms)
+        forms.append(form)
+        states.append(g)
+        return ids[form], True
+
+    store(grammar.start)
+    frontier, depth = deque([0]), {0: 0}
+    while frontier:
+        i = frontier.popleft() if strategy == "bfs" else frontier.pop()
+        if depth[i] >= max_depth:
+            continue
+        for rule in grammar.rules:
+            for m in concrete_matches(rule, states[i]):
+                j, fresh = store(concrete_apply(rule, m, states[i]))
+                generated += 1
+                if mode == "full":
+                    transitions.add((i, (rule.name, tuple(sorted(m.items()))), j))
+                if fresh:
+                    depth[j] = depth[i] + 1
+                    frontier.append(j)
+    return forms, transitions, generated

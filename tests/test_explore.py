@@ -6,9 +6,12 @@ import itertools
 import pytest
 
 from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
-                        compare_shapes, covered, explore, load_bundled,
-                        parse_grammar, stats_report, strictly_isomorphic)
+                        bundled_grammar_names, certificate, compare_shapes,
+                        covered, explore, load_bundled, parse_grammar,
+                        stats_report, strictly_isomorphic)
 from shapespace.explore import make_engine
+
+from conftest import reference_concrete
 
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
@@ -43,6 +46,67 @@ def test_concrete_engine_collapses_isomorphic_states():
     ts, st = run(COUNTER, engine="concrete", max_depth=6)
     assert st.generated == 7          # 0..6 isolated nodes
     assert st.complete
+
+
+# Two twin classes that one rule node can match: (x, y) = (a1, b) and
+# (b, a1) are in different orbits, and the negative condition is checked
+# per match.
+LINKS = parse_grammar("""
+label A unary
+label B unary
+label e binary
+graph
+  node a1 A
+  node a2 A
+  node b A B
+rule link
+  use node x A
+  use node y A
+  new edge x -e-> y
+  not edge x -e-> y
+""", name="links")
+
+
+@pytest.mark.parametrize("mode", ["full", "reach"])
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", [*bundled_grammar_names(), "links"])
+def test_concrete_engine_matches_the_definition(name, strategy, mode):
+    # One rewrite per twin orbit of matches and the exact-record lookup
+    # must give the state space of applying every match and certifying
+    # every successor: the same states in the same order, the same
+    # transitions and the same counts.
+    grammar = LINKS if name == "links" else load_bundled(name)
+    ts, st = run(grammar, engine="concrete", strategy=strategy, mode=mode, max_depth=5)
+    forms, transitions, generated = reference_concrete(grammar, strategy, mode, 5)
+    assert {i: certificate(g) for i, g in ts.states.items()} == dict(enumerate(forms))
+    assert ts.transitions == transitions and not ts.marked
+    assert (st.generated, st.subsumed, st.discarded, st.transitions_generated,
+            st.transitions_relevant, st.complete) == (
+        len(forms), 0, 0, generated, len(transitions), True)
+
+
+def test_concrete_engine_rewrites_once_per_orbit_and_certifies_once_per_record(
+        monkeypatch):
+    # firewall-6F to depth 8 (the benchmark's concrete workload): 5,892
+    # matches fall into 4,252 twin orbits, and of those successor graphs
+    # only 2,103 are not equal, node ids included, to a stored state.
+    explore_module = importlib.import_module("shapespace.explore")
+    calls = {"certificate": 0, "apply": 0}
+    certify, rewrite = explore_module.graph_certificate, explore_module.concrete_apply
+
+    def counting_certificate(g):
+        calls["certificate"] += 1
+        return certify(g)
+
+    def counting_apply(*args):
+        calls["apply"] += 1
+        return rewrite(*args)
+
+    monkeypatch.setattr(explore_module, "graph_certificate", counting_certificate)
+    monkeypatch.setattr(explore_module, "concrete_apply", counting_apply)
+    _, stats = run(load_bundled("firewall-6F"), engine="concrete", max_depth=8)
+    assert (stats.generated, stats.transitions_generated) == (690, 5892)
+    assert calls == {"certificate": 2103, "apply": 4252}
 
 
 def test_abstract_engine_rejects_negative_conditions():
@@ -203,9 +267,11 @@ rule mark
 """, name="mark")
 
 
-@pytest.mark.xfail(strict=True, reason="relabelling a node next to an unmatched "
-                   "collector updates the collector's slots inexactly instead of "
-                   "splitting it, so the successor misses concrete graphs")
+@pytest.mark.xfail(strict=True, reason="precision, not soundness: relabelling a "
+                   "node next to an unmatched collector widens the collector's "
+                   "slots instead of splitting it, so every concrete graph lies in "
+                   "the concretisation of a relevant shape, but not every one's "
+                   "abstraction is subsumed by one")
 def test_relabel_next_to_unmatched_collector_is_covered():
     concrete_ts, _ = run(MARK, engine="concrete")
     assert len(concrete_ts.states) == 6

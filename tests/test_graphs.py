@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -238,6 +239,42 @@ def looped_star(*leaf_labels):
 def random_star(rng):
     leaves = [rng.choice(UNARY) for _ in range(rng.randint(1, 5))]
     return permuted(rng, (looped_star if rng.random() < 0.3 else star)(*leaves))
+
+
+def twin_class_sizes(g):
+    return sorted(Counter(graphs.twins(g).values()).values())
+
+
+def test_swapping_twins_is_an_automorphism(rng):
+    # Twins have the same label set and the same labelled neighbours, so
+    # exchanging two of them maps the graph onto itself.
+    samples = [make(rng) for make in (twin_rich, random_star, random_graph)
+               for _ in range(100)]
+    samples += [star(*[A] * 4, B, B), looped_star(A, A, A, B),
+                union(star(A, A), looped_star(A, A))]
+    swaps = 0
+    for g in samples:
+        classes = {}
+        for v, c in graphs.twins(g).items():
+            classes.setdefault(c, []).append(v)
+        for vs in classes.values():
+            for v, w in itertools.combinations(vs, 2):
+                assert g.relabel({**{x: x for x in g.nodes}, v: w, w: v}) == g
+                swaps += 1
+    assert swaps >= 300
+
+
+def test_twin_class_sizes_do_not_depend_on_numbering(rng):
+    for make in (twin_rich, random_star, random_graph):
+        for _ in range(100):
+            g = make(rng)
+            assert twin_class_sizes(permuted(rng, g)) == twin_class_sizes(g)
+    # Leaves of one label set are twins, with or without a binary
+    # self-loop each; a looped leaf and a plain one are not.
+    assert twin_class_sizes(star(*[A] * 4, B, B)) == [1, 2, 4]
+    assert twin_class_sizes(looped_star(A, A, A)) == [1, 3]
+    g = star(A, A, A)
+    assert twin_class_sizes(Graph(g.labels, g.edges | {(1, f, 1)})) == [1, 1, 2]
 
 
 def shuffled_labels(rng, g):
