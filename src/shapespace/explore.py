@@ -139,7 +139,7 @@ class ConcreteEngine:
         for rule in self.grammar.rules:
             made = {}   # orbit: the twin classes of the images -> successor
             for m in concrete_matches(rule, g):
-                label = tuple(sorted(m.items()))
+                label = tuple(m.items())
                 orbit = tuple(twin[x] for _, x in label)
                 if orbit not in made:
                     made[orbit] = concrete_apply(rule, m, g)
@@ -178,7 +178,7 @@ class AbstractEngine:
         out = []
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
-                label = (rule.name, tuple(sorted(m.items())))
+                label = (rule.name, tuple(m.items()))
                 try:
                     mats = materialise(rule, m, s)
                 except ShapeError as exc:

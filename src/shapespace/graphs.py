@@ -107,11 +107,6 @@ class Graph(Labelled):
     def __hash__(self):
         return hash((frozenset(self.labels.items()), self.edges))
 
-    def relabel(self, mapping) -> "Graph":
-        """Rename node ids through ``mapping`` (a node-id bijection)."""
-        return Graph({mapping[v]: ls for v, ls in self.labels.items()},
-                     frozenset((mapping[s], l, mapping[t]) for (s, l, t) in self.edges))
-
     def __repr__(self):
         return f"Graph({len(self.labels)} nodes, {len(self.edges)} edges)"
 
@@ -251,7 +246,10 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     host node by default).  Nodes with fewer candidates are placed
     first, and each pattern edge is checked as soon as both of its
     ends are placed.  A stack of candidate iterators, one per placed
-    node, stands in for recursion, so large patterns fit.
+    node, stands in for recursion, so large patterns fit.  With the
+    default candidates and no ``base``, nodes are placed in id order and
+    images tried in ascending order, so the maps come sorted, each with
+    its items in pattern-node order.
     """
     mapping = dict(base or {})
     want, have = pattern.labels, host.labels

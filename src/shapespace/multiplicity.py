@@ -72,11 +72,6 @@ class Multiplicity:
     def is_concrete(self) -> bool:
         return self.lo == 1 and self.hi == 1
 
-    @property
-    def max_count(self) -> float:
-        """Upper bound as a plain number (inf for omega)."""
-        return self.hi
-
     def text(self) -> str:
         return _TEXT[self]
 

@@ -9,10 +9,11 @@ apply, then ``shapes.normalise``; the concrete pipeline is match / apply.
 Each rewrite branch is a ``shapes.Shape``: ``materialise`` builds one
 per branch, ``apply`` rewrites it in place, and ``normalise`` folds it
 into the successor; ``prematch`` searches the state itself.  None of
-them builds a Graph.  A rule's unary labels are self-loops: its LHS and
-negative condition read them as label sets, and ``concrete_apply`` as
-label-set edits.  Materialisation builds only valid, pairwise distinct
-branches.  Matches are plain node maps.
+them builds a Graph.  A rule's unary labels are self-loops, which
+``Rule`` alone reads: into label sets for its LHS and negative
+condition, and into the edit lists that both rewrites apply in the same
+steps.  Materialisation builds only valid, pairwise distinct branches.
+Matches are plain node maps, their items in rule-node order.
 
 Deletion is SPO-style: erasing a node silently drops its remaining
 incident edges.
@@ -50,7 +51,15 @@ class ApplyInfeasible(RuntimeError):
 
 @dataclass
 class Rule:
-    """Single-graph rule; ``edges`` entries are (src, label, tgt, role)."""
+    """Single-graph rule; ``edges`` entries are (src, label, tgt, role).
+
+    ``__post_init__`` is the one reader of the roles.  Besides ``lhs``
+    and the negative condition, it builds five edit lists, which
+    ``concrete_apply`` and ``apply`` read in the same steps:
+    ``erase_edges`` and ``create_edges`` (binary edges only),
+    ``erase_nodes``, ``new_nodes`` (creator node -> label set) and
+    ``relabel`` (reader node -> (labels removed, labels added)).
+    """
 
     name: str
     node_roles: dict
@@ -83,27 +92,26 @@ class Rule:
                 raise RuleError(f"embargo edge must attach to reader nodes in {self.name}")
             if role == READER and not ends <= {READER}:
                 raise RuleError(f"reader edge touches a non-reader node in {self.name}")
-        # Role lists, computed once: the rewrite pipelines read them per call.
-        self._nodes = {r: tuple(sorted(v for v, x in self.node_roles.items() if x == r))
-                       for r in ROLES}
-        self._edges = {r: tuple(e for e in self.edges if e[3] == r) for r in ROLES}
-        self._lhs = graph(sorted(self._nodes[READER] + self._nodes[ERASER]),
-                          ((v, l, w) for (v, l, w, r) in self.edges if r in (READER, ERASER)))
-        # The negative condition: its pattern and its reader nodes.
-        involved = {x for (v, _, w, _) in self._edges[EMBARGO] for x in (v, w)}
-        involved.update(self._nodes[EMBARGO])
-        self._nac = (graph(involved, ((v, l, w) for (v, l, w, _) in self._edges[EMBARGO])),
+        nodes = {r: sorted(v for v, x in self.node_roles.items() if x == r) for r in ROLES}
+        self.lhs = graph(sorted(nodes[READER] + nodes[ERASER]),
+                         ((v, l, w) for (v, l, w, r) in self.edges if r in (READER, ERASER)))
+        embargo = [(v, l, w) for (v, l, w, r) in self.edges if r == EMBARGO]
+        involved = {x for (v, _, w) in embargo for x in (v, w)} | set(nodes[EMBARGO])
+        self._nac = (graph(involved, embargo),
                      [v for v in involved if self.node_roles[v] == READER])
         self.has_nac = bool(involved)
-
-    def nodes_with(self, role):
-        return self._nodes[role]
-
-    def edges_with(self, role):
-        return self._edges[role]
-
-    def lhs(self) -> Graph:
-        return self._lhs
+        self.erase_nodes = tuple(nodes[ERASER])
+        self.erase_edges = tuple((v, l, w) for (v, l, w, r) in self.edges
+                                 if r == ERASER and not l.is_unary)
+        self.create_edges = tuple((v, l, w) for (v, l, w, r) in self.edges
+                                  if r == CREATOR and not l.is_unary)
+        self.new_nodes = {v: frozenset(l for (a, l, _, r) in self.edges
+                                       if a == v and l.is_unary) for v in nodes[CREATOR]}
+        self.relabel = {}   # reader node -> (labels removed, labels added)
+        for (v, l, _, r) in self.edges:
+            if l.is_unary and self.node_roles[v] == READER and r in (ERASER, CREATOR):
+                removed, added = self.relabel.setdefault(v, (set(), set()))
+                (removed if r == ERASER else added).add(l)
 
 
 # --- concrete engine ------------------------------------------------------
@@ -120,29 +128,25 @@ def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
 
 def concrete_matches(rule: Rule, g: Graph):
     """Injective matches of the rule's LHS in ``g``, NACs respected."""
-    out = [m for m in morphisms(rule.lhs(), g, injective=True)
-           if not _nac_blocked(rule, m, g)]
-    out.sort(key=lambda m: sorted(m.items()))
-    return out
+    return [m for m in morphisms(rule.lhs, g, injective=True)
+            if not _nac_blocked(rule, m, g)]
 
 
 def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
-    """SPO rewrite of ``g`` at match ``phi``: erasures first, then
-    creations; a unary loop edits its node's label set."""
-    erased = {phi[v] for v in rule.nodes_with(ERASER)}
+    """SPO rewrite of ``g`` at match ``phi``: the rule's edit lists in
+    ``apply``'s order."""
+    phi = dict(phi)
+    edges = g.edges.difference((phi[a], l, phi[b]) for (a, l, b) in rule.erase_edges)
+    erased = {phi[a] for a in rule.erase_nodes}
     labels = {v: ls for v, ls in g.labels.items() if v not in erased}
-    edges = {e for e in g.edges if e[0] not in erased and e[2] not in erased}
+    edges = {e for e in edges if e[0] not in erased and e[2] not in erased}
     fresh = itertools.count(max(g.labels, default=-1) + 1)
-    out_map = dict(phi)
-    for v in rule.nodes_with(CREATOR):
-        out_map[v] = next(fresh)
-        labels[out_map[v]] = frozenset()
-    for (v, l, w, role) in rule.edges_with(ERASER) + rule.edges_with(CREATOR):
-        x = out_map[v]
-        if not l.is_unary:
-            (edges.discard if role == ERASER else edges.add)((x, l, out_map[w]))
-        elif x in labels:   # not an erased node
-            labels[x] = labels[x] - {l} if role == ERASER else labels[x] | {l}
+    for a, ls in rule.new_nodes.items():
+        phi[a] = next(fresh)
+        labels[phi[a]] = ls
+    for a, (removed, added) in rule.relabel.items():
+        labels[phi[a]] = (labels[phi[a]] - removed) | added
+    edges.update((phi[a], l, phi[b]) for (a, l, b) in rule.create_edges)
     return Graph(labels, frozenset(edges))
 
 
@@ -152,20 +156,18 @@ def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
 def prematch(rule: Rule, s: Shape):
     """Possibly non-injective morphisms of the LHS into the shape
     whose shared images remain multiplicity-feasible."""
-    out = [m for m in morphisms(rule.lhs(), s, injective=False)
-           if _prematch_feasible(rule, m, s)]
-    out.sort(key=lambda m: sorted(m.items()))
-    return out
+    return [m for m in morphisms(rule.lhs, s, injective=False)
+            if _prematch_feasible(rule, m, s)]
 
 
 def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
     for u, k in Counter(m.values()).items():
-        if k > s.node_mult[u].max_count:
+        if k > s.node_mult[u].hi:
             return False
-    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule.lhs().edges)
+    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule.lhs.edges)
     for (v, l, w), k in shared.items():
         if k > 1 and k > min(
-                s.node_mult[slot[0]].max_count * s.slots[slot].max_count
+                s.node_mult[slot[0]].hi * s.slots[slot].hi
                 for slot in edge_slots(s.labels, v, l, w)):
             return False
     return True
@@ -192,7 +194,7 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     depth-first order of slot choices.
     """
     groups = {}
-    for a in sorted(rule.lhs().nodes):
+    for a in sorted(rule.lhs.nodes):
         groups.setdefault(phi[a], []).append(a)
     split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
 
@@ -217,7 +219,7 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     for u, (ps, r) in parts.items():
         labels.update((p, labels[u]) for p in (*ps, r))
     pinned = {}      # slot of a part -> matched neighbours it must keep
-    for (x, l, y) in rule.lhs().edges:
+    for (x, l, y) in rule.lhs.edges:
         out_slot, in_slot = edge_slots(labels, assign[x], l, assign[y])
         pinned.setdefault(out_slot, set()).add(assign[y])
         pinned.setdefault(in_slot, set()).add(assign[x])
@@ -343,7 +345,7 @@ def _slot_options(mu, fixed, extras, is_rem, node_mult):
         return ([(None, frozenset())] if mu.lo == 0 else []) \
             + [(mu, extra) for extra in _subsets(extras) if extra]
     t = len(fixed)
-    if t > mu.max_count:
+    if t > mu.hi:
         return []
     options = []
     for val in _value_options(mu, t):
@@ -351,7 +353,7 @@ def _slot_options(mu, fixed, extras, is_rem, node_mult):
             options.append((None, frozenset()))
             continue
         for extra in _subsets(extras):
-            upper = t + sum(node_mult[w].max_count for w in extra)
+            upper = t + sum(node_mult[w].hi for w in extra)
             if (fixed or extra) and val.lo <= upper and val.hi >= t + len(extra):
                 options.append((val, fixed | extra))
     return options
@@ -389,12 +391,7 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
         cur = slots.get(slot)
         if cur is None:
             return
-        if exact:
-            if cur.hi < 1:
-                raise ApplyInfeasible(f"removing an edge from empty slot at {slot[0]}")
-            new = subtract_one(cur)
-        else:
-            new = bounded(max(cur.lo - 1, 0), cur.hi)
+        new = subtract_one(cur) if exact else bounded(max(cur.lo - 1, 0), cur.hi)
         if new == mult.ZERO:
             slots.pop(slot)
         else:
@@ -404,25 +401,22 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
         cur = slots.get(slot, mult.ZERO)
         slots[slot] = add(cur, mult.ONE) if exact else bounded(cur.lo, cur.hi + 1)
 
-    def remove_edge(v, l, w):
-        if (v, l, w) not in edges:
-            return
-        edges.discard((v, l, w))
-        exact = node_mult[v].is_concrete and node_mult[w].is_concrete
-        for slot in edge_slots(labels, v, l, w):
-            slot_dec(slot, exact)
+    def remove_edge(e):
+        if e in edges:
+            edges.discard(e)
+            exact = node_mult[e[0]].is_concrete and node_mult[e[2]].is_concrete
+            for slot in edge_slots(labels, *e):
+                slot_dec(slot, exact)
 
-    # 1. matched eraser edges (binary)
-    for (a, l, b, _) in rule.edges_with(ERASER):
-        if not l.is_unary:
-            remove_edge(phi[a], l, phi[b])
+    # 1. matched eraser edges
+    for (a, l, b) in rule.erase_edges:
+        remove_edge((phi[a], l, phi[b]))
 
     # 2. erased nodes, SPO-style
-    for a in rule.nodes_with(ERASER):
+    for a in rule.erase_nodes:
         x = phi[a]
-        for (v, l, w) in sorted(edges, key=lambda e: (e[0], e[1].text, e[2])):
-            if v == x or w == x:
-                remove_edge(v, l, w)
+        for e in [e for e in edges if x in (e[0], e[2])]:
+            remove_edge(e)
         labels.pop(x)
         node_mult.pop(x)
         for slot in [k for k in slots if k[0] == x]:
@@ -430,43 +424,34 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
 
     # 3. fresh creator nodes
     fresh = itertools.count(max(node_mult, default=-1) + 1)
-    for a in rule.nodes_with(CREATOR):
-        x = next(fresh)
-        phi[a] = x
+    for a, ls in rule.new_nodes.items():
+        x = phi[a] = next(fresh)
         node_mult[x] = mult.ONE
-        labels[x] = frozenset(l for (v, l, w, _) in rule.edges_with(CREATOR)
-                              if l.is_unary and v == a)
+        labels[x] = ls
 
     # 4. label changes on kept reader nodes: each slot whose other end
     # is the relabelled node moves one edge to the new label set
-    changes = {}
-    for (a, l, b, role) in rule.edges:
-        if l.is_unary and rule.node_roles[a] == READER and role in (ERASER, CREATOR):
-            removed, added = changes.setdefault(phi[a], (set(), set()))
-            (removed if role == ERASER else added).add(l)
-    for x, (removed, added) in sorted(changes.items()):
-        old_key = labels[x]
-        new_key = frozenset((old_key - removed) | added)
-        if new_key == old_key:
+    for x, (removed, added) in sorted((phi[a], edit) for a, edit in rule.relabel.items()):
+        new_key = (labels[x] - removed) | added
+        if new_key == labels[x]:
             continue
-        for (v, l, w) in sorted(edges, key=lambda e: (e[0], e[1].text, e[2])):
-            if v != w and x in (v, w):
-                far = edge_slots(labels, v, l, w)[0 if w == x else 1]
-                exact = node_mult[v].is_concrete and node_mult[w].is_concrete
-                slot_dec(far, exact)
-                slot_inc((*far[:3], new_key), exact)
+        for (v, l, w) in edges:
+            if x not in (v, w):
+                continue
+            exact = node_mult[v].is_concrete and node_mult[w].is_concrete
+            for slot, end in zip(edge_slots(labels, v, l, w), (w, v)):
+                if end == x:
+                    slot_dec(slot, exact)
+                    slot_inc((*slot[:3], new_key), exact)
         labels[x] = new_key
 
-    # 5. creator binary edges
-    for (a, l, b, _) in rule.edges_with(CREATOR):
-        if l.is_unary:
-            continue
-        x, y = phi[a], phi[b]
-        if (x, l, y) in edges:
-            continue
-        edges.add((x, l, y))
-        for slot in edge_slots(labels, x, l, y):
-            slot_inc(slot)
+    # 5. creator edges
+    for (a, l, b) in rule.create_edges:
+        e = (phi[a], l, phi[b])
+        if e not in edges:
+            edges.add(e)
+            for slot in edge_slots(labels, *e):
+                slot_inc(slot)
 
     # 6. reconcile slots with the surviving edge support
     support = {slot for e in edges for slot in edge_slots(labels, *e)}

@@ -228,18 +228,6 @@ class Frame:
                 any(all(map(subsumes, x, old)) for x in orbit))
 
 
-def shape_subsumes(t: Shape, s: Shape):
-    """Whether ``s`` is below ``t``; returns ``(bool, witness or None)``."""
-    wit, _ = compare_shapes(s, t)
-    return wit is not None, wit
-
-
-def strictly_isomorphic(s: Shape, t: Shape) -> bool:
-    """Mutual subsumption, which forces equal multiplicities: the two
-    witnesses compose to an automorphism that can only widen them."""
-    return None not in compare_shapes(s, t)
-
-
 def covered(g: Graph, states) -> bool:
     """Whether some shape in ``states`` subsumes the abstraction of ``g``."""
     s = abstract(g)

@@ -8,7 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from shapespace import Graph, GraphError, Label, binary, canonical, graph, unary
+from shapespace import (Graph, GraphError, Label, binary, canonical,
+                        compare_shapes, graph, unary)
 from shapespace.rules import concrete_apply, concrete_matches
 
 UNARY = (unary("A"), unary("B"))
@@ -35,7 +36,25 @@ def permuted(rng: random.Random, g):
     nodes = sorted(g.nodes)
     images = list(range(100, 100 + len(nodes)))
     rng.shuffle(images)
-    return g.relabel(dict(zip(nodes, images)))
+    return relabel(g, dict(zip(nodes, images)))
+
+
+def relabel(g, mapping):
+    """``g`` with its node ids renamed through the bijection ``mapping``."""
+    return Graph({mapping[v]: ls for v, ls in g.labels.items()},
+                 frozenset((mapping[v], l, mapping[w]) for (v, l, w) in g.edges))
+
+
+def shape_subsumes(t, s):
+    """Whether ``s`` is below ``t``: ``(bool, witness or None)``."""
+    wit = compare_shapes(s, t)[0]
+    return wit is not None, wit
+
+
+def strictly_isomorphic(s, t) -> bool:
+    """Mutual subsumption, which forces equal multiplicities: the two
+    witnesses compose to an automorphism that can only widen them."""
+    return None not in compare_shapes(s, t)
 
 
 def cycles(*lengths, both_ways=False):

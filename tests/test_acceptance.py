@@ -13,11 +13,12 @@ import pytest
 
 from shapespace import (BOUNDED, ExploreConfig, abstract, add, bounded,
                         certificate, covered, explore, find_isomorphism,
-                        load_bundled, normalise, stats_report, strictly_isomorphic,
-                        subsumes, subtract_one, shape_subsumes)
+                        load_bundled, normalise, stats_report, subsumes,
+                        subtract_one)
 from shapespace.multiplicity import OMEGA
 
-from conftest import brute_force_isomorphism, permuted, random_graph
+from conftest import (brute_force_isomorphism, permuted, random_graph,
+                      shape_subsumes, strictly_isomorphic)
 from test_multiplicity import members, smallest_enclosing
 from test_shapes import relaxed
 

@@ -8,10 +8,10 @@ import pytest
 from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
                         bundled_grammar_names, certificate, compare_shapes,
                         covered, explore, load_bundled, parse_grammar,
-                        stats_report, strictly_isomorphic)
+                        stats_report)
 from shapespace.explore import make_engine
 
-from conftest import reference_concrete
+from conftest import reference_concrete, strictly_isomorphic
 
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
@@ -280,6 +280,34 @@ def test_relabel_next_to_unmatched_collector_is_covered():
         shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
         for g in concrete_ts.states.values():
             assert covered(g, shapes)
+
+
+LOOP = parse_grammar("""
+label A unary
+label B unary
+label e binary
+graph
+  node x A
+  edge x -e-> x
+rule flip
+  use node x
+  del edge x -A-> x
+  new edge x -B-> x
+""", name="loop")
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+def test_relabelling_a_node_with_a_self_loop_keeps_its_successor(subsumption):
+    # Both slots of the e-loop are keyed by the relabelled node's own
+    # label set, so both move to {B}; left keyed by {A}, they lost their
+    # support and the branch was dropped as infeasible.
+    concrete_ts, _ = run(LOOP, engine="concrete")
+    assert len(concrete_ts.states) == 2
+    abstract_ts, _ = run(LOOP, engine="abstract", subsumption=subsumption)
+    assert (len(abstract_ts.states), len(abstract_ts.transitions)) == (2, 1)
+    shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
+    for g in concrete_ts.states.values():
+        assert covered(g, shapes)
 
 
 def test_abstract_exploration_builds_no_graph(monkeypatch):

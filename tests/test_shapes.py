@@ -8,11 +8,11 @@ import pytest
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Graph, Shape,
                         ShapeError, abstract, binary, canonical, certificate,
                         compare_shapes, covered, graph, isomorphisms,
-                        neighbourhood_partition, normalise, shape_subsumes,
-                        strictly_isomorphic, subsumes, unary)
+                        neighbourhood_partition, normalise, subsumes, unary)
 from shapespace.shapes import Frame, _concrete
 
-from conftest import UNARY, cycles, permuted, random_graph, star
+from conftest import (UNARY, cycles, permuted, random_graph, shape_subsumes,
+                      star, strictly_isomorphic)
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")

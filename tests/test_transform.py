@@ -7,11 +7,11 @@ import pytest
 from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_ONE, ZERO_PLUS,
                         ApplyInfeasible, ExploreConfig, Rule, RuleError, Shape,
                         ShapeError, abstract, apply, approx_card, binary,
-                        concrete_apply, concrete_matches, explore, graph,
-                        load_bundled, materialise, normalise, prematch,
-                        strictly_isomorphic, unary)
+                        bundled_grammar_names, concrete_apply, concrete_matches,
+                        explore, graph,
+                        load_bundled, materialise, normalise, prematch, unary)
 
-from conftest import random_graph
+from conftest import random_graph, strictly_isomorphic
 
 L, O, I, P, S, C, last = (unary(t) for t in ("L", "O", "I", "P", "S", "C", "last"))
 at, conn, n = binary("at"), binary("conn"), binary("n")
@@ -83,9 +83,23 @@ def test_rule_role_validation():
 
 def test_lhs_collects_readers_and_erasers():
     r = move_rule()
-    lhs = r.lhs()
+    lhs = r.lhs
     assert lhs.nodes == frozenset({0, 1, 2})
     assert (2, at, 0) in lhs.edges and (2, at, 1) not in lhs.edges
+
+
+def test_rule_reads_its_label_loops_into_edit_lists():
+    # reader 0 loses ``last``, creator 1 is born with C and last; eraser
+    # 2 goes with its loop, which is no label edit
+    r = Rule("edits", {0: READER, 1: CREATOR, 2: ERASER},
+             ((0, C, 0, READER), (0, last, 0, ERASER), (1, C, 1, CREATOR),
+              (1, last, 1, CREATOR), (0, n, 1, CREATOR), (2, C, 2, ERASER),
+              (0, n, 2, ERASER)))
+    assert r.erase_edges == ((0, n, 2),)
+    assert r.create_edges == ((0, n, 1),)
+    assert r.erase_nodes == (2,)
+    assert r.new_nodes == {1: frozenset({C, last})}
+    assert r.relabel == {0: ({last}, set())}
 
 
 # --- concrete pipeline ----------------------------------------------------
@@ -274,10 +288,10 @@ def rewrite_steps(request):
 
 
 def valid_shape(branch):
-    """Check the shape invariants of ``branch`` without building its
-    graph, which would go stale once ``apply`` rewrites the branch."""
+    """Check the shape invariants of ``branch`` without caching its
+    colours, which would go stale once ``apply`` rewrites the branch."""
     branch.validate()
-    assert "graph" not in vars(branch)
+    assert "colours" not in vars(branch)
 
 
 def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
@@ -371,3 +385,18 @@ def test_normalise_is_identity_on_abstractions(rng):
         g = random_graph(rng, max_nodes=8)
         s = abstract(g)
         assert strictly_isomorphic(normalise(s), s)
+
+
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_matches_come_sorted_with_items_in_rule_node_order(name):
+    # The engines label transitions with ``tuple(m.items())`` and rely on
+    # ``morphisms``' search order instead of sorting.
+    grammar = load_bundled(name)
+    for engine, find, cap in (("abstract", prematch, dict(max_states=100)),
+                              ("concrete", concrete_matches, dict(max_depth=4))):
+        ts, _ = explore(grammar, ExploreConfig(engine=engine, **cap))
+        for s in ts.states.values():
+            for rule in grammar.rules:
+                ms = find(rule, s)
+                assert [list(m) for m in ms] == [sorted(rule.lhs.nodes)] * len(ms)
+                assert ms == sorted(ms, key=lambda m: list(m.items()))
