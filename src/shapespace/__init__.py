@@ -8,7 +8,7 @@ from .multiplicity import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
 from .graphs import (Graph, GraphError, Label, binary, canonical, certificate,
                      find_isomorphism, graph, isomorphisms, unary)
 from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
-                     neighbourhood_partition, normalise)
+                     neighbour_index, neighbourhood_partition, normalise)
 from .rules import (ApplyInfeasible, Rule, RuleError, apply, concrete_apply,
                     concrete_matches, materialise, prematch)
 from .explore import (CSV_HEADER, ExplorationStats, ExploreConfig,

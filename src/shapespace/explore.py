@@ -21,7 +21,8 @@ from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
                     materialise, prematch)
-from .shapes import Frame, Shape, ShapeError, abstract, compare_shapes, normalise
+from .shapes import (Frame, Shape, ShapeError, abstract, compare_shapes,
+                     neighbour_index, normalise)
 
 
 class ExploreError(ValueError):
@@ -176,11 +177,12 @@ class AbstractEngine:
 
     def successors(self, s: Shape):
         out = []
+        neighbours = neighbour_index(s.labels, s.edges)
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
                 label = (rule.name, tuple(m.items()))
                 try:
-                    mats = materialise(rule, m, s)
+                    mats = materialise(rule, m, s, neighbours)
                 except ShapeError as exc:
                     raise ExploreError(f"rule {rule.name!r}: {exc}") from None
                 for branch, match in mats:

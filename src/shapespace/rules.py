@@ -29,7 +29,7 @@ from .graphs import Graph, graph, morphisms
 from . import multiplicity as mult
 from .multiplicity import (Multiplicity, add, bounded, positive_part,
                            subtract_one)
-from .shapes import Shape, ShapeError, edge_slots
+from .shapes import Shape, ShapeError, edge_slots, neighbour_index
 
 READER = "reader"
 ERASER = "eraser"
@@ -39,6 +39,7 @@ ROLES = (READER, ERASER, CREATOR, EMBARGO)
 
 # Safety valve for the two non-deterministic materialisation steps.
 MAX_BRANCHES = 50_000
+_BACK = {"out": "in", "in": "out"}   # the reciprocal slot's direction
 
 
 class RuleError(ValueError):
@@ -176,7 +177,7 @@ def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
 # --- abstract engine: materialise ----------------------------------------
 
 
-def materialise(rule: Rule, phi: dict, s: Shape):
+def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     """Pull concrete copies of the match image out of collector elements.
 
     Each non-concrete node in the image is split into one concrete part
@@ -186,12 +187,13 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     concretisation of ``s`` in which ``phi`` extends to an injective
     concrete match is covered by some returned branch.  Each entry is a
     ``(Shape, match)`` pair; every branch shares the one concrete match.
+    ``neighbours`` is ``neighbour_index`` of ``s``, built once per state.
 
     ``phi`` comes from ``prematch``, so no node has more LHS nodes mapped
     onto it than its multiplicity allows.  Every branch is built valid
     and no two are equal.  They come in ``itertools.product`` order over
     the remainder choices of the split nodes (in node order), then in
-    depth-first order of slot choices.
+    depth-first order of slot choices, in the order ``s`` stores them.
     """
     groups = {}
     for a in sorted(rule.lhs.nodes):
@@ -218,31 +220,23 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     labels = dict(s.labels)   # every node id a branch may use
     for u, (ps, r) in parts.items():
         labels.update((p, labels[u]) for p in (*ps, r))
-    pinned = {}      # slot of a part -> matched neighbours it must keep
-    for (x, l, y) in rule.lhs.edges:
-        out_slot, in_slot = edge_slots(labels, assign[x], l, assign[y])
-        pinned.setdefault(out_slot, set()).add(assign[y])
-        pinned.setdefault(in_slot, set()).add(assign[x])
-    neighbours = {}  # slot of ``s`` -> nodes at the other end of its edges
-    kept = []        # edges between nodes that are not split
-    for (v, l, w) in s.edges:
-        out_slot, in_slot = edge_slots(labels, v, l, w)
-        neighbours.setdefault(out_slot, []).append(w)
-        neighbours.setdefault(in_slot, []).append(v)
-        if v not in parts and w not in parts:
-            kept.append((v, l, w))
+    pinned = neighbour_index(   # slot of a part -> matched neighbours it must keep
+        labels, {(assign[x], l, assign[y]) for (x, l, y) in rule.lhs.edges})
     own = {u: [] for u in split}   # split node -> its slots, in slot order
-    untouched = []                 # the other nodes' slots
-    for slot, mu in sorted(s.slots.items(), key=_slot_order):
+    safe, at_risk = {}, []   # other nodes' slots: with an edge to a node not split, or without
+    for slot, mu in s.slots.items():
         if slot[0] in own:
             own[slot[0]].append((*slot[1:], mu))
+        elif parts.keys() >= neighbours[slot]:
+            at_risk.append((slot, mu))
         else:
-            untouched.append((slot, mu))
+            safe[slot] = mu
+    kept = frozenset(e for e in s.edges if e[0] not in parts and e[2] not in parts)
 
     out = []
     for combo in itertools.product(*remainders):
         for branch in _branches(s, parts, dict(zip(split, combo)), labels, own,
-                                pinned, neighbours, untouched, kept):
+                                pinned, neighbours, safe, at_risk, kept):
             out.append((branch, assign))
             if len(out) > MAX_BRANCHES:
                 raise ShapeError("materialisation branch explosion "
@@ -250,26 +244,13 @@ def materialise(rule: Rule, phi: dict, s: Shape):
     return out
 
 
-def _slot_order(item):
-    """Per node: out-slots, then in-slots, each by label and key texts."""
-    (v, d, l, key), _ = item
-    return v, d == "in", l.text, sorted(x.text for x in key)
-
-
-def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
+def _branches(s, parts, rem, labels, own, pinned, neighbours, safe, at_risk, kept):
     """The branches for one choice of remainders, depth first."""
-    node_mult, members = {}, {}
-    for x in sorted(s.node_mult):
-        if x in parts:
-            ps, r = parts[x]
-            node_mult.update((p, mult.ONE) for p in ps)
-            members[x] = list(ps)
-            if rem[x] is not None:
-                node_mult[r] = rem[x]
-                members[x].append(r)
-        else:
-            node_mult[x] = s.node_mult[x]
-            members[x] = [x]
+    node_mult = {x: mu for x, mu in s.node_mult.items() if x not in parts}
+    members = {x: [x] for x in node_mult}
+    for u, (ps, r) in parts.items():
+        members[u] = ps if rem[u] is None else [*ps, r]
+        node_mult.update((p, mult.ONE if p != r else rem[u]) for p in members[u])
 
     axes = []        # (part, direction, label, key, options)
     for u, entries in own.items():
@@ -284,36 +265,41 @@ def _branches(s, parts, rem, labels, own, pinned, neighbours, untouched, kept):
                     return
                 axes.append((p, d, l, key, options))
 
-    for choice in _consistent_choices(axes, labels, [p for u in own for p in members[u]]):
-        slots = {}
+    index = {axis[:4]: i for i, axis in enumerate(axes)}
+    risky = []       # (slot, multiplicity, the axes that could support it)
+    checks = [[] for _ in axes]   # per axis: (node, axes) to test once it is set
+    for (v, d, l, key), mu in at_risk:
+        js = [index[p, _BACK[d], l, labels[v]] for w in neighbours[v, d, l, key]
+              for p in members[w]]
+        risky.append(((v, d, l, key), mu, js))
+        if mu.lo > 0:
+            checks[max(js)].append((v, js))
+    for choice in _consistent_choices(axes, index, labels, checks):
+        slots = dict(safe)
         edges = set(kept)
         for (p, d, l, key, _), (val, support) in zip(axes, choice):
             if val is not None:
                 slots[p, d, l, key] = val
             edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
-        # Untouched nodes keep their slots; entries survive only while
-        # they still have at least one support edge.
-        supported = {slot for e in edges for slot in edge_slots(labels, *e)}
-        if any(mu.lo > 0 and slot not in supported for slot, mu in untouched):
-            continue
-        slots.update((slot, mu) for slot, mu in untouched if slot in supported)
+        slots.update((slot, mu) for slot, mu, js in risky
+                     if any(slot[0] in choice[j][1] for j in js))
         yield Shape(dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots)
 
 
-def _consistent_choices(axes, labels, new_nodes):
+def _consistent_choices(axes, index, labels, checks):
     """Depth-first assignment of slot options.
 
     An edge between two split-off nodes is demanded by the out-slot of
     one and the reciprocal in-slot of the other; an option is taken only
     if it agrees with the reciprocal slots assigned before it.  (A node a
     slot may name is a member of an original neighbour, so in a valid
-    shape its reciprocal slot exists.)
+    shape its reciprocal slot exists.)  ``checks[i]`` pairs untouched
+    nodes with axes up to ``i``, one of which must give the node an edge.
     """
-    index = {axis[:4]: i for i, axis in enumerate(axes)}
+    new_nodes = {axis[0] for axis in axes}
     links = []       # per axis: (split-off node, its earlier reciprocal axis)
     for i, (p, d, l, key, _) in enumerate(axes):
-        back = "in" if d == "out" else "out"
-        earlier = ((q, index.get((q, back, l, labels[p])))
+        earlier = ((q, index.get((q, _BACK[d], l, labels[p])))
                    for q in new_nodes if labels[q] == key)
         links.append([(q, j) for q, j in earlier if j is not None and j < i])
 
@@ -328,7 +314,8 @@ def _consistent_choices(axes, labels, new_nodes):
             if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
                 continue
             chosen[i] = option
-            yield from extend(i + 1)
+            if all(any(v in chosen[j][1] for j in js) for v, js in checks[i]):
+                yield from extend(i + 1)
 
     yield from extend(0)
 
@@ -387,7 +374,10 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
     node_mult, labels = branch.node_mult, branch.labels
     edges, slots = branch.edges, branch.slots
 
+    touched = set()   # nodes that lost an edge or a neighbour's label set
+
     def slot_dec(slot, exact):
+        touched.add(slot[0])
         cur = slots.get(slot)
         if cur is None:
             return
@@ -453,9 +443,11 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
             for slot in edge_slots(labels, *e):
                 slot_inc(slot)
 
-    # 6. reconcile slots with the surviving edge support
-    support = {slot for e in edges for slot in edge_slots(labels, *e)}
-    for slot in [k for k in slots if k not in support]:
+    # 6. reconcile the touched nodes' slots with their surviving edges; a
+    # slot that gained an edge has its entry, and no other slot changed
+    support = {slot for e in edges if e[0] in touched or e[2] in touched
+               for slot in edge_slots(labels, *e) if slot[0] in touched}
+    for slot in [k for k in slots if k[0] in touched and k not in support]:
         if slots.pop(slot).lo > 0:
             raise ApplyInfeasible(f"slot without support at node {slot[0]}")
     for slot in support:

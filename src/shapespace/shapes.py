@@ -14,7 +14,6 @@ isomorphism search take the shape itself.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, Labelled, certificate, isomorphisms
@@ -43,7 +42,7 @@ class Shape(Labelled):
     ``materialise`` builds shapes that ``apply`` rewrites in place;
     ``normalise`` returns shapes that are immutable by convention and
     hash by all four fields.  Normal shapes are strictly isomorphic
-    exactly when equal.
+    exactly when equal, and keep their slots in slot order (``normalise``).
     """
 
     node_mult: dict   # node -> multiplicity
@@ -89,41 +88,49 @@ class Shape(Labelled):
         return f"Shape({len(self.node_mult)} nodes, {len(self.edges)} edges)"
 
 
+def neighbour_index(labels, edges) -> dict:
+    """Slot -> the nodes at the other end of its ``edges``."""
+    index = {}
+    for (v, l, w) in edges:
+        for slot, end in zip(edge_slots(labels, v, l, w), (w, v)):
+            index.setdefault(slot, set()).add(end)
+    return index
+
+
 def _concrete(g: Graph) -> Shape:
     """``g`` as a shape: each node of multiplicity 1, and each slot
     holding its approximated edge count."""
-    counts = Counter(slot for e in g.edges for slot in edge_slots(g.labels, *e))
+    ends = neighbour_index(g.labels, g.edges)
     return Shape(dict.fromkeys(g.labels, mult.ONE), g.labels, g.edges,
-                 {slot: approx_card(n) for slot, n in counts.items()})
+                 {slot: approx_card(len(ws)) for slot, ws in ends.items()})
+
+
+@functools.cache
+def _texts(ls) -> tuple:   # a label set's sort key
+    return tuple(sorted(l.text for l in ls))
 
 
 def _signature_groups(s: Shape):
-    """The nodes of ``s`` grouped by signature, in signature order, and
-    each node's ``(slot key rest, multiplicity)`` entries.
+    """``(signature, nodes)`` pairs of ``s`` in signature order.
 
-    A node's signature is its label set, its out-slots and its in-slots,
-    which are keyed by label sets, never by node ids.
+    A signature is a label set's texts, then the out-slots and the
+    in-slots in slot order, each ``(label text, key texts, multiplicity,
+    direction, label, key)``; it names no node id.
     """
-    own = {v: [] for v in s.node_mult}
-    for (v, *rest), mu in s.slots.items():
-        own[v].append((rest, mu))
+    own = {v: ([], []) for v in s.node_mult}
+    for (v, d, l, key), mu in s.slots.items():
+        own[v][d == "in"].append((l.text, _texts(key), mu, d, l, key))
     groups = {}
-    for v in sorted(s.node_mult):
-        sig = (tuple(sorted(l.text for l in s.labels[v])),
-               _slot_items(own[v], "out"), _slot_items(own[v], "in"))
+    for v, (outs, ins) in own.items():
+        sig = _texts(s.labels[v]), tuple(sorted(outs)), tuple(sorted(ins))
         groups.setdefault(sig, []).append(v)
-    return [groups[sig] for sig in sorted(groups)], own
-
-
-def _slot_items(entries, direction):
-    return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
-                        for (d, l, key), mu in entries if d == direction))
+    return sorted(groups.items())
 
 
 def neighbourhood_partition(g: Graph):
     """The radius-1 partition of ``g``'s nodes: the groups that
     ``normalise`` folds in ``abstract(g)``, in signature order."""
-    return tuple(frozenset(grp) for grp in _signature_groups(_concrete(g))[0])
+    return tuple(frozenset(grp) for _, grp in _signature_groups(_concrete(g)))
 
 
 def abstract(g: Graph) -> Shape:
@@ -135,18 +142,20 @@ def abstract(g: Graph) -> Shape:
 def normalise(s: Shape) -> Shape:
     """Fold same-signature nodes together in one pass; idempotent.
 
-    Nodes are numbered in signature order (``_signature_groups``).  A
+    Nodes are numbered in signature order (``_signature_groups``), and
+    slots are stored in slot order: by node, out-slots before in-slots,
+    each by label text and key texts.  Only this pass orders slots.  A
     merged node keeps its representative's slots, so nodes that differ
     before the pass still differ after it, and a second pass would merge
     nothing.  Folding n nodes of multiplicity 1 gives ``approx_card(n)``.
     """
-    ordered, own = _signature_groups(s)
-    new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
+    ordered = _signature_groups(s)
+    new_id = {v: i for i, (_, grp) in enumerate(ordered) for v in grp}
     node_mult, labels, slots = {}, {}, {}
-    for i, grp in enumerate(ordered):
+    for i, (sig, grp) in enumerate(ordered):
         node_mult[i] = functools.reduce(mult.add, (s.node_mult[v] for v in grp))
         labels[i] = s.labels[grp[0]]
-        slots.update(((i, *rest), mu) for rest, mu in own[grp[0]])
+        slots.update(((i, *slot), mu) for part in sig[1:] for _, _, mu, *slot in part)
     edges = frozenset((new_id[v], l, new_id[w]) for (v, l, w) in s.edges)
     return Shape(node_mult, labels, edges, slots)
 

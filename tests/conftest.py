@@ -1,16 +1,20 @@
 """Shared test fixtures: deterministic random graph generation, the
 symmetric graph families, the brute-force morphism and isomorphism
-oracles, and the concrete state space by definition."""
+oracles, the text-sorting normal form, the full-support reconcile and
+the concrete state space by definition."""
 
+import functools
 import random
 from collections import deque
 from itertools import permutations
 
 import pytest
 
-from shapespace import (Graph, GraphError, Label, binary, canonical,
-                        compare_shapes, graph, unary)
+from shapespace import (ONE_PLUS, ApplyInfeasible, Graph, GraphError, Label,
+                        Shape, add, binary, canonical, compare_shapes, graph,
+                        unary)
 from shapespace.rules import concrete_apply, concrete_matches
+from shapespace.shapes import edge_slots
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -55,6 +59,54 @@ def strictly_isomorphic(s, t) -> bool:
     """Mutual subsumption, which forces equal multiplicities: the two
     witnesses compose to an automorphism that can only widen them."""
     return None not in compare_shapes(s, t)
+
+
+def slot_order(slot):
+    """Per node: out-slots, then in-slots, each by label and key texts."""
+    v, d, l, key = slot
+    return v, d == "in", l.text, sorted(x.text for x in key)
+
+
+def reference_normalise(s):
+    """``normalise`` by its definition: signatures built from sorted label
+    texts on every call, nodes numbered in signature order."""
+    own = {v: [] for v in s.node_mult}
+    for (v, *rest), mu in s.slots.items():
+        own[v].append((rest, mu))
+
+    def slot_items(entries, direction):
+        return tuple(sorted((l.text, tuple(sorted(x.text for x in key)), mu)
+                            for (d, l, key), mu in entries if d == direction))
+
+    groups = {}
+    for v in sorted(s.node_mult):
+        sig = (tuple(sorted(l.text for l in s.labels[v])),
+               slot_items(own[v], "out"), slot_items(own[v], "in"))
+        groups.setdefault(sig, []).append(v)
+    ordered = [groups[sig] for sig in sorted(groups)]
+    new_id = {v: i for i, grp in enumerate(ordered) for v in grp}
+    node_mult, labels, slots = {}, {}, {}
+    for i, grp in enumerate(ordered):
+        node_mult[i] = functools.reduce(add, (s.node_mult[v] for v in grp))
+        labels[i] = s.labels[grp[0]]
+        slots.update(((i, *rest), mu) for rest, mu in own[grp[0]])
+    edges = frozenset((new_id[v], l, new_id[w]) for (v, l, w) in s.edges)
+    return Shape(node_mult, labels, edges, slots)
+
+
+def full_reconcile(s):
+    """Step 6 of ``apply`` over every slot: a copy of ``s`` whose slot
+    keys are exactly the supported ones.  An unsupported slot is dropped,
+    or raises ApplyInfeasible if it must be positive; a supported slot
+    without an entry becomes 1+."""
+    slots = dict(s.slots)
+    support = {slot for e in s.edges for slot in edge_slots(s.labels, *e)}
+    for slot in [k for k in slots if k not in support]:
+        if slots.pop(slot).lo > 0:
+            raise ApplyInfeasible(f"slot without support at node {slot[0]}")
+    for slot in support:
+        slots.setdefault(slot, ONE_PLUS)
+    return Shape(dict(s.node_mult), dict(s.labels), set(s.edges), slots)
 
 
 def cycles(*lengths, both_ways=False):

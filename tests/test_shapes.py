@@ -1,18 +1,22 @@
 """Neighbourhood partitions, abstraction, shape subsumption."""
 
+import dataclasses
+import importlib
 import itertools
 import random
 
 import pytest
 
-from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, Graph, Shape,
-                        ShapeError, abstract, binary, canonical, certificate,
-                        compare_shapes, covered, graph, isomorphisms,
-                        neighbourhood_partition, normalise, subsumes, unary)
+from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
+                        Graph, Shape, ShapeError, abstract, binary,
+                        bundled_grammar_names, canonical, certificate,
+                        compare_shapes, covered, explore, graph, isomorphisms,
+                        load_bundled, neighbourhood_partition, normalise,
+                        subsumes, unary)
 from shapespace.shapes import Frame, _concrete
 
-from conftest import (UNARY, cycles, permuted, random_graph, shape_subsumes,
-                      star, strictly_isomorphic)
+from conftest import (UNARY, cycles, permuted, random_graph, reference_normalise,
+                      shape_subsumes, slot_order, star, strictly_isomorphic)
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")
@@ -292,6 +296,32 @@ def test_normal_shapes_are_canonical(rng):
         assert normalise(s) == s
         assert abstract(permuted(rng, g)) == abstract(g)
         assert hash(abstract(permuted(rng, g))) == hash(s)
+
+
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_normalise_equals_the_text_sorting_reference(name, monkeypatch):
+    # ``normalise`` sorts on cached keys and is the one place that orders
+    # slots; ``materialise`` reads a state's slots as stored.  Every
+    # successor must be the reference's normal form, node numbers
+    # included, with its slots in slot order.
+    calls = 0
+
+    def checked(s):
+        nonlocal calls
+        calls += 1
+        t = normalise(s)
+        assert t == reference_normalise(s)
+        assert list(t.slots) == sorted(t.slots, key=slot_order)
+        return t
+
+    monkeypatch.setattr(importlib.import_module("shapespace.explore"), "normalise", checked)
+    grammar = load_bundled(name)
+    for seed in range(3):
+        start = permuted(random.Random(seed), grammar.start)
+        ts, _ = explore(dataclasses.replace(grammar, start=start),
+                        ExploreConfig(max_states=150))
+        assert checked(_concrete(start)) == ts.states[0] == abstract(start)
+    assert calls >= 6
 
 
 def test_normal_shapes_are_equal_exactly_when_strictly_isomorphic(rng):

@@ -9,9 +9,11 @@ from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_ONE, ZERO_PLUS,
                         ShapeError, abstract, apply, approx_card, binary,
                         bundled_grammar_names, concrete_apply, concrete_matches,
                         explore, graph,
-                        load_bundled, materialise, normalise, prematch, unary)
+                        load_bundled, materialise, neighbour_index, normalise,
+                        prematch, unary)
+from shapespace import rules
 
-from conftest import random_graph, strictly_isomorphic
+from conftest import full_reconcile, random_graph, strictly_isomorphic
 
 L, O, I, P, S, C, last = (unary(t) for t in ("L", "O", "I", "P", "S", "C", "last"))
 at, conn, n = binary("at"), binary("conn"), binary("n")
@@ -192,11 +194,15 @@ def test_prematch_respects_node_multiplicity_bound():
 # --- materialise ----------------------------------------------------------
 
 
+def materialise_at(rule, m, s):
+    return materialise(rule, m, s, neighbour_index(s.labels, s.edges))
+
+
 def test_materialise_on_concrete_match_is_identity():
     s = concrete_shape(world())
     ms = prematch(move_rule(), s)
     assert len(ms) == 1
-    mats = materialise(move_rule(), ms[0], s)
+    mats = materialise_at(move_rule(), ms[0], s)
     assert len(mats) == 1
     (branch, match), = mats
     assert strictly_isomorphic(branch, s)
@@ -212,7 +218,7 @@ def test_materialise_splits_collector():
                           (1, at, 0, READER)))
     ms = prematch(r, s)
     assert len(ms) == 1
-    mats = materialise(r, ms[0], s)
+    mats = materialise_at(r, ms[0], s)
     assert mats
     for branch, match in mats:
         valid_shape(branch)
@@ -232,7 +238,7 @@ def test_materialise_demands_part_to_part_edges_from_both_ends():
     r = Rule("step", {0: READER, 1: READER},
              ((0, C, 0, READER), (1, C, 1, READER), (0, n, 1, READER)))
     (m,) = prematch(r, s)
-    mats = materialise(r, m, s)
+    mats = materialise_at(r, m, s)
     assert {match[0] for _, match in mats} == {1}
     assert {match[1] for _, match in mats} == {2}   # 3: remainder
     assert sorted(sorted(branch.edges) for branch, _ in mats) == [
@@ -241,6 +247,31 @@ def test_materialise_demands_part_to_part_edges_from_both_ends():
         [(1, n, 2), (2, n, 3), (3, n, 1)],
         [(1, n, 2), (2, n, 3), (3, n, 1), (3, n, 3)],
     ]
+
+
+def test_untouched_slot_supported_only_by_a_split_collector(monkeypatch):
+    # Location 0 holds at least one packet of the 2+ collector 1, and each
+    # packet is at 0 or not.  Grabbing a packet splits the collector into
+    # part 2 and remainder 3, so 0's in-slot is supported by them alone:
+    # the search cuts the choice in which neither keeps its edge, before
+    # any branch is built for it.
+    labels = {0: frozenset({L}), 1: frozenset({P})}
+    s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(1, at, 0)},
+              {(1, "out", at, labels[0]): ZERO_ONE, (0, "in", at, labels[1]): ONE_PLUS})
+    s.validate()
+    r = Rule("grab", {0: READER}, ((0, P, 0, READER),))
+    leaves = []
+    search = rules._consistent_choices
+    monkeypatch.setattr(rules, "_consistent_choices",
+                        lambda *args: (leaves.append(c) or c for c in search(*args)))
+    (m,) = prematch(r, s)
+    mats = materialise_at(r, m, s)
+    assert sorted(sorted(branch.edges) for branch, _ in mats) == [
+        [(2, at, 0)], [(2, at, 0), (3, at, 0)], [(3, at, 0)]]
+    for branch, _ in mats:
+        valid_shape(branch)
+        assert branch.slots[0, "in", at, labels[1]] == ONE_PLUS
+    assert len(leaves) == len(mats)
 
 
 def optional_remainder():
@@ -257,7 +288,7 @@ def optional_remainder():
 
 def test_materialise_drops_optional_remainder():
     r, s = optional_remainder()
-    mats = materialise(r, prematch(r, s)[0], s)
+    mats = materialise_at(r, prematch(r, s)[0], s)
     node_counts = {len(branch.node_mult) for branch, _ in mats}
     assert node_counts == {2, 3}
 
@@ -268,10 +299,10 @@ def test_branch_cap_counts_the_whole_call(monkeypatch):
     r, s = optional_remainder()
     m = prematch(r, s)[0]
     monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 2)
-    assert len(materialise(r, m, s)) == 2
+    assert len(materialise_at(r, m, s)) == 2
     monkeypatch.setattr("shapespace.rules.MAX_BRANCHES", 1)
     with pytest.raises(ShapeError, match="branch explosion"):
-        materialise(r, m, s)
+        materialise_at(r, m, s)
 
 
 @pytest.fixture(scope="module", params=["firewall-2", "firewall-3"])
@@ -297,7 +328,7 @@ def valid_shape(branch):
 def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
     branches = 0
     for rule, m, s in rewrite_steps:
-        mats = materialise(rule, m, s)
+        mats = materialise_at(rule, m, s)
         branches += len(mats)
         for branch, _ in mats:
             valid_shape(branch)
@@ -309,7 +340,7 @@ def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
 def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
     merged = 0
     for rule, m, s in rewrite_steps:
-        for branch, match in materialise(rule, m, s):
+        for branch, match in materialise_at(rule, m, s):
             try:
                 t = apply(rule, branch, match)
             except ApplyInfeasible:
@@ -323,6 +354,30 @@ def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
     assert merged >= 30
 
 
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_apply_reconciles_like_a_full_support_pass(name):
+    # ``apply`` reconciles only the slots of nodes that lost an edge or a
+    # neighbour's label set.  A full pass sees those slots with the same
+    # support and more, so it fails whenever ``apply`` does; each slot is
+    # reconciled on its own, so where ``apply`` succeeds the full pass
+    # decides alike exactly when it changes nothing in ``apply``'s result.
+    grammar = load_bundled(name)
+    ts, _ = explore(grammar, ExploreConfig(strategy="dfs", max_states=150))
+    results = 0
+    for s in ts.states.values():
+        for rule in grammar.rules:
+            for m in prematch(rule, s):
+                for branch, match in materialise_at(rule, m, s):
+                    try:
+                        t = apply(rule, branch, match)
+                    except ApplyInfeasible:
+                        continue
+                    valid_shape(t)
+                    assert full_reconcile(t) == t
+                    results += 1
+    assert results >= 3
+
+
 # --- apply + normalise ----------------------------------------------------
 
 
@@ -332,7 +387,7 @@ def test_abstract_apply_mirrors_concrete_on_exact_shapes():
         s = concrete_shape(g)
         ms = prematch(append_rule(), s)
         assert len(ms) == 1
-        ((branch, match),) = materialise(append_rule(), ms[0], s)
+        ((branch, match),) = materialise_at(append_rule(), ms[0], s)
         t = normalise(apply(append_rule(), branch, match))
         h = concrete_apply(append_rule(),
                            concrete_matches(append_rule(), g)[0], g)
@@ -341,7 +396,7 @@ def test_abstract_apply_mirrors_concrete_on_exact_shapes():
 
 def test_apply_label_flip_rekeys_slots():
     s = concrete_shape(chain(2))
-    ((branch, match),) = materialise(append_rule(), prematch(append_rule(), s)[0], s)
+    ((branch, match),) = materialise_at(append_rule(), prematch(append_rule(), s)[0], s)
     t = apply(append_rule(), branch, match)
     valid_shape(t)
     flipped = match[0]
