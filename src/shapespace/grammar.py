@@ -2,8 +2,9 @@
 
 The format is line-oriented UTF-8.  ``#`` starts a comment.  Blocks:
 
-    grammar <name>            optional, once, first
-    abstract-only             optional flag: embargo elements are rejected
+    grammar <name>            optional; if present, the first directive
+    abstract-only             optional flag, before any rule: embargo
+                              elements are rejected
     label <name> unary|binary
     graph
       node <id> <unaryLabel>*
@@ -44,12 +45,6 @@ class Grammar:
     start: Graph
     rules: list = field(default_factory=list)
 
-    def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise GrammarError(f"no rule named {name!r}")
-
 
 def _err(line_no: int, message: str):
     raise GrammarError(f"line {line_no}: {message}")
@@ -71,6 +66,7 @@ class _Parser:
         self.graph_edges = []
         self.rules = []
         self.seen_graph = False
+        self.seen_directive = False
         self.block = None          # None | "graph" | ("rule", ...)
 
     def parse(self) -> Grammar:
@@ -95,8 +91,12 @@ class _Parser:
         if head == "grammar":
             if len(words) != 2:
                 _err(i, "usage: grammar <name>")
+            if self.seen_directive:
+                _err(i, "'grammar' must be the first directive")
             self.name = _name(words[1], i, "grammar name")
         elif head == "abstract-only":
+            if self.rules or isinstance(self.block, tuple):
+                _err(i, "'abstract-only' must come before the first rule")
             self.abstract_only = True
         elif head == "label":
             self.finish_block(i)
@@ -130,6 +130,7 @@ class _Parser:
             self.rule_line(i, words)
         else:
             _err(i, f"unrecognised directive {head!r}")
+        self.seen_directive = True
 
     # --- start graph -----------------------------------------------------
 

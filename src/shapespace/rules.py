@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, graph, morphisms
 from . import multiplicity as mult
-from .multiplicity import (Multiplicity, add, bounded, positive_part,
-                           subtract_one)
+from .multiplicity import add, bounded, positive_part, subtract_one
 from .shapes import Shape, ShapeError, edge_slots, neighbour_index
 
 READER = "reader"
@@ -194,35 +193,35 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     and no two are equal.  They come in ``itertools.product`` order over
     the remainder choices of the split nodes (in node order), then in
     depth-first order of slot choices, in the order ``s`` stores them.
+
+    An edge between two split-off nodes is demanded from both ends: by
+    the out-slot of one and the reciprocal in-slot of the other.
+    ``checks[i]`` pairs untouched nodes with axes up to ``i``, one of
+    which must give the node an edge; it is tested once axis ``i`` is set.
     """
     groups = {}
     for a in sorted(rule.lhs.nodes):
         groups.setdefault(phi[a], []).append(a)
-    split = [u for u in sorted(groups) if not s.node_mult[u].is_concrete]
-
     fresh = itertools.count(max(s.node_mult, default=-1) + 1)
     parts = {}       # split node -> (concrete parts, remainder id)
-    assign = {}
-    for u in split:
-        parts[u] = [next(fresh) for _ in groups[u]], next(fresh)
-        assign.update(zip(groups[u], parts[u][0]))
-    for u, grp in groups.items():
-        if u not in parts:
+    assign = {}      # the concrete match
+    remainders = []  # per split node: its remainder options, None for no remainder
+    labels = dict(s.labels)   # every node id a branch may use
+    for u in sorted(groups):
+        grp, mu = groups[u], s.node_mult[u]
+        if mu.is_concrete:
             assign[grp[0]] = u
-
-    remainders = []  # per split node: None (no remainder) or its multiplicity
-    for u in split:
-        mu, k = s.node_mult[u], len(groups[u])
-        lo, hi = max(mu.lo - k, 0), mu.hi - k
+            continue
+        ps, r = parts[u] = [next(fresh) for _ in grp], next(fresh)
+        assign.update(zip(grp, ps))
+        labels.update((p, labels[u]) for p in (*ps, r))
+        lo, hi = max(mu.lo - len(grp), 0), mu.hi - len(grp)
         remainders.append(([None] if lo == 0 else [])
                           + ([positive_part(bounded(lo, hi))] if hi >= 1 else []))
 
-    labels = dict(s.labels)   # every node id a branch may use
-    for u, (ps, r) in parts.items():
-        labels.update((p, labels[u]) for p in (*ps, r))
     pinned = neighbour_index(   # slot of a part -> matched neighbours it must keep
         labels, {(assign[x], l, assign[y]) for (x, l, y) in rule.lhs.edges})
-    own = {u: [] for u in split}   # split node -> its slots, in slot order
+    own = {u: [] for u in parts}   # split node -> its slots, in slot order
     safe, at_risk = {}, []   # other nodes' slots: with an edge to a node not split, or without
     for slot, mu in s.slots.items():
         if slot[0] in own:
@@ -235,89 +234,65 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
 
     out = []
     for combo in itertools.product(*remainders):
-        for branch in _branches(s, parts, dict(zip(split, combo)), labels, own,
-                                pinned, neighbours, safe, at_risk, kept):
-            out.append((branch, assign))
+        node_mult = {x: mu for x, mu in s.node_mult.items() if x not in parts}
+        members = {x: [x] for x in node_mult}
+        for (u, (ps, r)), rem in zip(parts.items(), combo):
+            members[u] = ps if rem is None else [*ps, r]
+            node_mult.update((p, mult.ONE if p != r else rem) for p in members[u])
+
+        axes = []        # per slot of a split-off node: (part, direction, label, key, options)
+        index = {}       # axis key -> its position
+        links = []       # per axis: (split-off node, its earlier reciprocal axis)
+        for u, entries in own.items():
+            for p in members[u]:
+                for (d, l, key, mu) in entries:
+                    fixed = frozenset(pinned.get((p, d, l, key), ()))
+                    universe = {y for w in neighbours.get((u, d, l, key), ())
+                                for y in members[w]}
+                    links.append([(q, index[q, _BACK[d], l, labels[p]]) for q in universe
+                                  if (q, _BACK[d], l, labels[p]) in index])
+                    index[p, d, l, key] = len(axes)
+                    axes.append((p, d, l, key, _slot_options(
+                        mu, fixed, sorted(universe - fixed), p == parts[u][1], node_mult)))
+        if not all(axis[4] for axis in axes):
+            continue
+        risky = []       # (slot, multiplicity, the reciprocal axes of its neighbours' members)
+        checks = [[] for _ in axes]   # per axis: (node, axes) to test once it is set
+        for (v, d, l, key), mu in at_risk:
+            js = [index[p, _BACK[d], l, labels[v]] for w in neighbours[v, d, l, key]
+                  for p in members[w]]
+            risky.append(((v, d, l, key), mu, js))
+            if mu.lo > 0:
+                checks[max(js)].append((v, js))
+
+        def search(i):   # depth first from axis i; yields once per leaf
+            if i == len(axes):
+                yield
+                return
+            p = axes[i][0]
+            for option in axes[i][4]:
+                if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
+                    continue
+                chosen[i] = option
+                if all(any(v in chosen[j][1] for j in js) for v, js in checks[i]):
+                    yield from search(i + 1)
+
+        chosen = [None] * len(axes)
+        for _ in search(0):
+            slots = dict(safe)
+            edges = set(kept)
+            for (p, d, l, key, _), (val, support) in zip(axes, chosen):
+                if val is not None:
+                    slots[p, d, l, key] = val
+                edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
+            slots.update((slot, mu) for slot, mu, js in risky
+                         if any(slot[0] in chosen[j][1] for j in js))
+            out.append((Shape(dict(node_mult), {x: labels[x] for x in node_mult},
+                              edges, slots), assign))
             if len(out) > MAX_BRANCHES:
                 raise ShapeError("materialisation branch explosion "
                                  f"(over {MAX_BRANCHES} branches)")
     return out
-
-
-def _branches(s, parts, rem, labels, own, pinned, neighbours, safe, at_risk, kept):
-    """The branches for one choice of remainders, depth first."""
-    node_mult = {x: mu for x, mu in s.node_mult.items() if x not in parts}
-    members = {x: [x] for x in node_mult}
-    for u, (ps, r) in parts.items():
-        members[u] = ps if rem[u] is None else [*ps, r]
-        node_mult.update((p, mult.ONE if p != r else rem[u]) for p in members[u])
-
-    axes = []        # (part, direction, label, key, options)
-    for u, entries in own.items():
-        for p in members[u]:
-            for (d, l, key, mu) in entries:
-                fixed = frozenset(pinned.get((p, d, l, key), ()))
-                universe = {y for w in neighbours.get((u, d, l, key), ())
-                            for y in members[w]}
-                options = _slot_options(mu, fixed, sorted(universe - fixed),
-                                        p == parts[u][1], node_mult)
-                if not options:
-                    return
-                axes.append((p, d, l, key, options))
-
-    index = {axis[:4]: i for i, axis in enumerate(axes)}
-    risky = []       # (slot, multiplicity, the axes that could support it)
-    checks = [[] for _ in axes]   # per axis: (node, axes) to test once it is set
-    for (v, d, l, key), mu in at_risk:
-        js = [index[p, _BACK[d], l, labels[v]] for w in neighbours[v, d, l, key]
-              for p in members[w]]
-        risky.append(((v, d, l, key), mu, js))
-        if mu.lo > 0:
-            checks[max(js)].append((v, js))
-    for choice in _consistent_choices(axes, index, labels, checks):
-        slots = dict(safe)
-        edges = set(kept)
-        for (p, d, l, key, _), (val, support) in zip(axes, choice):
-            if val is not None:
-                slots[p, d, l, key] = val
-            edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
-        slots.update((slot, mu) for slot, mu, js in risky
-                     if any(slot[0] in choice[j][1] for j in js))
-        yield Shape(dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots)
-
-
-def _consistent_choices(axes, index, labels, checks):
-    """Depth-first assignment of slot options.
-
-    An edge between two split-off nodes is demanded by the out-slot of
-    one and the reciprocal in-slot of the other; an option is taken only
-    if it agrees with the reciprocal slots assigned before it.  (A node a
-    slot may name is a member of an original neighbour, so in a valid
-    shape its reciprocal slot exists.)  ``checks[i]`` pairs untouched
-    nodes with axes up to ``i``, one of which must give the node an edge.
-    """
-    new_nodes = {axis[0] for axis in axes}
-    links = []       # per axis: (split-off node, its earlier reciprocal axis)
-    for i, (p, d, l, key, _) in enumerate(axes):
-        earlier = ((q, index.get((q, _BACK[d], l, labels[p])))
-                   for q in new_nodes if labels[q] == key)
-        links.append([(q, j) for q, j in earlier if j is not None and j < i])
-
-    chosen = [None] * len(axes)
-
-    def extend(i):
-        if i == len(axes):
-            yield tuple(chosen)
-            return
-        p = axes[i][0]
-        for option in axes[i][4]:
-            if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
-                continue
-            chosen[i] = option
-            if all(any(v in chosen[j][1] for j in js) for v, js in checks[i]):
-                yield from extend(i + 1)
-
-    yield from extend(0)
 
 
 def _slot_options(mu, fixed, extras, is_rem, node_mult):
@@ -332,31 +307,16 @@ def _slot_options(mu, fixed, extras, is_rem, node_mult):
         return ([(None, frozenset())] if mu.lo == 0 else []) \
             + [(mu, extra) for extra in _subsets(extras) if extra]
     t = len(fixed)
-    if t > mu.hi:
-        return []
-    options = []
-    for val in _value_options(mu, t):
-        if val == mult.ZERO:
-            options.append((None, frozenset()))
+    lo = max(mu.lo, t)   # the classes 0, 1, 2+ that meet [lo, mu.hi]: none if t > mu.hi
+    options = [(None, frozenset())] if lo == 0 else []
+    for val in (mult.ONE, mult.TWO_PLUS):
+        if lo > val.hi or val.lo > mu.hi:
             continue
         for extra in _subsets(extras):
             upper = t + sum(node_mult[w].hi for w in extra)
             if (fixed or extra) and val.lo <= upper and val.hi >= t + len(extra):
                 options.append((val, fixed | extra))
     return options
-
-
-def _value_options(mu: Multiplicity, at_least: int):
-    """Approximation classes of the naturals in ``mu`` that are >= at_least."""
-    lo = max(mu.lo, at_least)
-    opts = []
-    if lo == 0:
-        opts.append(mult.ZERO)
-    if lo <= 1 <= mu.hi:
-        opts.append(mult.ONE)
-    if mu.hi >= 2:
-        opts.append(mult.TWO_PLUS)
-    return opts
 
 
 def _subsets(items):

@@ -90,6 +90,21 @@ def test_embargo_rejected_under_abstract_only_flag():
     assert parse_grammar(text.replace("abstract-only\n", "")).rules[0].has_nac
 
 
+def test_abstract_only_after_a_rule_is_rejected():
+    # a late flag would leave the earlier rules' embargo elements unchecked
+    text = ("label P unary\ngraph\n  node a P\n"
+            "rule r\n  use node x P\n  not node y P\nabstract-only\n")
+    expect_error(text, 7, "abstract-only")
+
+
+def test_grammar_name_only_as_first_directive():
+    expect_error("grammar a\nlabel P unary\ngrammar c\ngraph\n  node a P\n",
+                 3, "grammar")
+    expect_error("# a comment\ngrammar a\n\ngrammar a\n", 4, "grammar")
+    # comments and blank lines may come before it
+    assert parse_grammar("# a comment\n\ngrammar a\ngraph\n  node a\n").name == "a"
+
+
 def test_bundled_grammars_present_and_valid():
     names = bundled_grammar_names()
     assert {"firewall-2", "firewall-3", "firewall-4", "firewall-6F",

@@ -15,8 +15,8 @@ from shapespace import rules
 
 from conftest import full_reconcile, random_graph, strictly_isomorphic
 
-L, O, I, P, S, C, last = (unary(t) for t in ("L", "O", "I", "P", "S", "C", "last"))
-at, conn, n = binary("at"), binary("conn"), binary("n")
+L, O, I, P, S, C, K, last = (unary(t) for t in ("L", "O", "I", "P", "S", "C", "K", "last"))
+at, conn, n, link = binary("at"), binary("conn"), binary("n"), binary("link")
 
 READER, ERASER, CREATOR, EMBARGO = "reader", "eraser", "creator", "embargo"
 
@@ -191,6 +191,23 @@ def test_prematch_respects_node_multiplicity_bound():
     assert prematch(two, s) == []
 
 
+def two_k_neighbours_rule():
+    """One location reading two distinct link-neighbours labelled K."""
+    return Rule("two-ks", {0: READER, 1: READER, 2: READER},
+                ((0, L, 0, READER), (1, K, 1, READER), (2, K, 2, READER),
+                 (0, link, 1, READER), (0, link, 2, READER)))
+
+
+def test_prematch_rejects_a_shared_edge_beyond_its_slot():
+    # the concrete location has exactly one link into the K collector,
+    # so the rule's two edges cannot both map onto it
+    labels = {0: frozenset({L}), 1: frozenset({K})}
+    s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(0, link, 1)},
+              {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ZERO_ONE})
+    s.validate()
+    assert prematch(two_k_neighbours_rule(), s) == []
+
+
 # --- materialise ----------------------------------------------------------
 
 
@@ -249,29 +266,41 @@ def test_materialise_demands_part_to_part_edges_from_both_ends():
     ]
 
 
+def test_materialise_drops_a_part_whose_matched_edges_exceed_its_slot():
+    # each location of the 2+ collector has exactly one link to a K node,
+    # so the split-off part cannot keep both matched edges: no branch
+    labels = {0: frozenset({L}), 1: frozenset({K}), 2: frozenset({K})}
+    s = Shape({0: TWO_PLUS, 1: ONE, 2: ONE}, labels, {(0, link, 1), (0, link, 2)},
+              {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ONE_PLUS,
+               (2, "in", link, labels[0]): ONE_PLUS})
+    s.validate()
+    ms = prematch(two_k_neighbours_rule(), s)
+    assert len(ms) == 2
+    for m in ms:
+        assert materialise_at(two_k_neighbours_rule(), m, s) == []
+
+
 def test_untouched_slot_supported_only_by_a_split_collector(monkeypatch):
     # Location 0 holds at least one packet of the 2+ collector 1, and each
     # packet is at 0 or not.  Grabbing a packet splits the collector into
     # part 2 and remainder 3, so 0's in-slot is supported by them alone:
     # the search cuts the choice in which neither keeps its edge, before
-    # any branch is built for it.
+    # any branch is built for it, so every Shape built is a branch.
     labels = {0: frozenset({L}), 1: frozenset({P})}
     s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(1, at, 0)},
               {(1, "out", at, labels[0]): ZERO_ONE, (0, "in", at, labels[1]): ONE_PLUS})
     s.validate()
     r = Rule("grab", {0: READER}, ((0, P, 0, READER),))
-    leaves = []
-    search = rules._consistent_choices
-    monkeypatch.setattr(rules, "_consistent_choices",
-                        lambda *args: (leaves.append(c) or c for c in search(*args)))
     (m,) = prematch(r, s)
+    built = []
+    monkeypatch.setattr(rules, "Shape", lambda *args: built.append(Shape(*args)) or built[-1])
     mats = materialise_at(r, m, s)
     assert sorted(sorted(branch.edges) for branch, _ in mats) == [
         [(2, at, 0)], [(2, at, 0), (3, at, 0)], [(3, at, 0)]]
     for branch, _ in mats:
         valid_shape(branch)
         assert branch.slots[0, "in", at, labels[1]] == ONE_PLUS
-    assert len(leaves) == len(mats)
+    assert len(built) == len(mats)
 
 
 def optional_remainder():
