@@ -50,6 +50,87 @@ def expect_error(text, line, fragment):
     assert fragment in str(exc.value)
 
 
+# One malformed text per error site of the parser: (text, line, fragment).
+_HEAD = "label P unary\nlabel e binary\ngraph\n  node a P\n"
+ERRORS = [
+    pytest.param("grammar 9x\n", 1, "bad grammar name '9x'", id="bad-grammar-name"),
+    pytest.param("label 9 unary\n", 1, "bad label name '9'", id="bad-label-name"),
+    pytest.param("graph\nrule r/s\n", 2, "bad rule name 'r/s'", id="bad-rule-name"),
+    pytest.param("graph\n  node -a\n", 2, "bad node id '-a'", id="bad-graph-node-id"),
+    pytest.param(_HEAD + "  edge a -e-> 2b\n", 5, "bad node id '2b'",
+                 id="bad-edge-node-id"),
+    pytest.param("grammar\n", 1, "usage: grammar <name>", id="grammar-usage"),
+    pytest.param("grammar a b\n", 1, "usage: grammar <name>", id="grammar-words"),
+    pytest.param("label P unary\ngrammar a\n", 2, "'grammar' must be the first",
+                 id="grammar-late"),
+    pytest.param(_HEAD + "rule r\n  use node x P\nabstract-only\n", 7,
+                 "'abstract-only' must come before the first rule",
+                 id="abstract-only-late"),
+    pytest.param("label P\n", 1, "usage: label <name> unary|binary", id="label-usage"),
+    pytest.param("label P ternary\n", 1, "usage: label <name> unary|binary",
+                 id="label-arity"),
+    pytest.param("label P unary\nlabel P binary\n", 2, "label 'P' declared twice",
+                 id="label-twice"),
+    pytest.param("graph\n  node a\ngraph\n", 3, "more than one graph block",
+                 id="graph-twice"),
+    pytest.param("graph\nrule\n", 2, "usage: rule <name>", id="rule-usage"),
+    pytest.param(_HEAD + "rule r\n  use node x P\nrule r\n", 7,
+                 "rule 'r' declared twice", id="rule-twice"),
+    pytest.param("node a\n", 1, "'node' line outside a graph block",
+                 id="node-outside"),
+    pytest.param(_HEAD + "rule r\n  edge x -e-> x\n", 6,
+                 "'edge' line outside a graph block", id="edge-in-rule"),
+    pytest.param("use node x\n", 1, "'use' line outside a rule block",
+                 id="role-outside"),
+    pytest.param(_HEAD + "  new node b\n", 5, "'new' line outside a rule block",
+                 id="role-in-graph"),
+    pytest.param("graph\n  node a\nfrob a\n", 3, "unrecognised directive 'frob'",
+                 id="unknown-directive"),
+    pytest.param("graph\n  node\n", 2, "usage: node <id> <unaryLabel>*",
+                 id="graph-node-usage"),
+    pytest.param(_HEAD + "  node a\n", 5, "node 'a' declared twice",
+                 id="graph-node-twice"),
+    pytest.param(_HEAD + "  edge a -e-> b\n", 5, "edge endpoint 'b' undeclared",
+                 id="graph-endpoint"),
+    pytest.param(_HEAD + "  node b\n  edge a -P-> b\n", 6,
+                 "unary label 'P' between distinct nodes", id="graph-unary-edge"),
+    pytest.param("abstract-only\n" + _HEAD + "rule r\n  not node x P\n", 7,
+                 "embargo element in an abstract-only grammar", id="embargo"),
+    pytest.param(_HEAD + "rule r\n  use\n", 6, "usage: use node|edge ...",
+                 id="role-usage"),
+    pytest.param(_HEAD + "rule r\n  del path x\n", 6, "usage: del node|edge ...",
+                 id="role-kind"),
+    pytest.param(_HEAD + "rule r\n  new node\n", 6,
+                 "usage: new node <id> <unaryLabel>*", id="rule-node-usage"),
+    pytest.param(_HEAD + "rule r\n  use node x\n  del node x\n", 7,
+                 "rule node 'x' declared twice", id="rule-node-twice"),
+    pytest.param(_HEAD + "rule r\n  use node x\n  new edge x -e-> y\n", 7,
+                 "edge endpoint 'y' undeclared in rule", id="rule-endpoint"),
+    pytest.param(_HEAD + "rule r\n  use node x\n  use node y\n  del edge x -P-> y\n",
+                 8, "unary label 'P' between distinct nodes", id="rule-unary-edge"),
+    pytest.param(_HEAD + "\nrule r\n\n", 6, "rule 'r' has an empty body",
+                 id="empty-rule"),
+    pytest.param(_HEAD + "rule r\n  del node x\n  new node y\n  new edge y -e-> x\n",
+                 5, "rule 'r': creator edge touches", id="rule-error"),
+    pytest.param("graph\n  node a Q\n", 2, "unknown label 'Q'", id="node-label-unknown"),
+    pytest.param(_HEAD + "rule r\n  use node x e\n", 6,
+                 "label 'e' is binary, expected unary", id="node-label-binary"),
+    pytest.param(_HEAD + "  edge a a\n", 5, "usage: edge <id> -<label>-> <id>",
+                 id="graph-edge-usage"),
+    pytest.param(_HEAD + "rule r\n  use node x\n  use edge x -e-> x x\n", 7,
+                 "usage: edge <id> -<label>-> <id>", id="rule-edge-usage"),
+    pytest.param(_HEAD + "  edge a =e=> a\n", 5, "bad edge arrow '=e=>'",
+                 id="edge-arrow"),
+    pytest.param(_HEAD + "  edge a -f-> a\n", 5, "unknown label 'f'",
+                 id="edge-label-unknown"),
+]
+
+
+@pytest.mark.parametrize("text,line,fragment", ERRORS)
+def test_error_table(text, line, fragment):
+    expect_error(text, line, fragment)
+
+
 def test_unknown_label():
     expect_error("graph\n  node a X\n", 2, "unknown label")
 
