@@ -1,7 +1,7 @@
-"""Shared test fixtures: deterministic random graph generation, the
-symmetric graph families, the brute-force morphism and isomorphism
-oracles, the text-sorting normal form, the full-support reconcile and
-the concrete state space by definition."""
+"""Shared test fixtures: deterministic random graph and grammar
+generation, the symmetric graph families, the brute-force morphism and
+isomorphism oracles, the text-sorting normal form, the full-support
+reconcile and the concrete state space by definition."""
 
 import functools
 import random
@@ -34,6 +34,50 @@ def random_graph(rng: random.Random, max_nodes: int = 6, edge_prob: float = 0.3)
                 if rng.random() < edge_prob:
                     edges.append((v, l, w))
     return graph(nodes, edges)
+
+
+RULE_KINDS = ("create", "delete-edge", "move-edge", "relabel", "delete-node")
+
+
+def random_grammar_text(seed: int) -> str:
+    """A small random grammar in the text format: 2-3 unary labels, 1-2
+    binary labels, 2-5 start nodes and 1-3 rules, each of one of
+    ``RULE_KINDS``.  It has no ``not`` lines, so both engines run it."""
+    rng = random.Random(seed)
+    unaries = [f"U{i}" for i in range(rng.randint(2, 3))]
+    binaries = [f"b{i}" for i in range(rng.randint(1, 2))]
+
+    def node(word, ident):   # a node line with random unary labels
+        labs = [t for t in unaries if rng.random() < 0.4]
+        return " ".join([f"  {word}node {ident}", *labs])
+
+    lines = [f"grammar random-{seed}"]
+    lines += [f"label {t} unary" for t in unaries]
+    lines += [f"label {t} binary" for t in binaries]
+    lines.append("graph")
+    n = rng.randint(2, 5)
+    lines += [node("", f"s{v}") for v in range(n)]
+    lines += [f"  edge s{v} -{rng.choice(binaries)}-> s{w}"
+              for v in range(n) for w in range(n) if rng.random() < 0.25]
+    lines += [f"  edge s{v} -{rng.choice(unaries)}-> s{v}"  # a label in edge syntax
+              for v in range(n) if rng.random() < 0.2]
+    for r in range(rng.randint(1, 3)):
+        kind, b = rng.choice(RULE_KINDS), rng.choice(binaries)
+        lines.append(f"rule {kind}-{r}")
+        if kind == "create":
+            x, y = ("x", "y") if rng.random() < 0.5 else ("y", "x")
+            lines += [node("use ", "x"), node("new ", "y"), f"  new edge {x} -{b}-> {y}"]
+        elif kind == "delete-edge":
+            lines += [node("use ", "x"), node("use ", "y"), f"  del edge x -{b}-> y"]
+        elif kind == "move-edge":
+            lines += [node("use ", v) for v in "xyz"]
+            lines += [f"  del edge x -{b}-> y", f"  new edge x -{b}-> z"]
+        elif kind == "relabel":
+            old, new = rng.sample(unaries, 2)
+            lines += ["  use node x", f"  del edge x -{old}-> x", f"  new edge x -{new}-> x"]
+        else:
+            lines += [node("use ", "x"), node("del ", "y"), f"  del edge y -{b}-> x"]
+    return "\n".join(lines) + "\n"
 
 
 def permuted(rng: random.Random, g):

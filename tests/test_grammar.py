@@ -5,6 +5,8 @@ import pytest
 from shapespace import (GrammarError, bundled_grammar_names, load_bundled,
                         parse_grammar, render_grammar)
 
+from conftest import RULE_KINDS, random_grammar_text
+
 GOOD = """\
 grammar demo
 
@@ -43,6 +45,21 @@ def test_round_trip_all_bundled():
         assert parse_grammar(render_grammar(g), name=name) == g
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_random_grammar_round_trip(seed):
+    text = random_grammar_text(seed)
+    print(text)   # shown when the test fails
+    g = parse_grammar(text)
+    rendered = render_grammar(g)
+    assert parse_grammar(rendered) == g
+    assert render_grammar(parse_grammar(rendered)) == rendered
+
+
+def test_random_grammars_cover_every_rule_kind():
+    names = {r.name for s in range(40) for r in parse_grammar(random_grammar_text(s)).rules}
+    assert {n.rsplit("-", 1)[0] for n in names} == set(RULE_KINDS)
+
+
 def expect_error(text, line, fragment):
     with pytest.raises(GrammarError) as exc:
         parse_grammar(text)
@@ -61,6 +78,9 @@ ERRORS = [
                  id="bad-edge-node-id"),
     pytest.param("grammar\n", 1, "usage: grammar <name>", id="grammar-usage"),
     pytest.param("grammar a b\n", 1, "usage: grammar <name>", id="grammar-words"),
+    pytest.param("abstract-only please\n", 1, "usage: abstract-only",
+                 id="abstract-only-words"),
+    pytest.param("graph extra words\n", 1, "usage: graph", id="graph-words"),
     pytest.param("label P unary\ngrammar a\n", 2, "'grammar' must be the first",
                  id="grammar-late"),
     pytest.param(_HEAD + "rule r\n  use node x P\nabstract-only\n", 7,
