@@ -194,10 +194,12 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     the remainder choices of the split nodes (in node order), then in
     depth-first order of slot choices, in the order ``s`` stores them.
 
-    An edge between two split-off nodes is demanded from both ends: by
-    the out-slot of one and the reciprocal in-slot of the other.
-    ``checks[i]`` pairs untouched nodes with axes up to ``i``, one of
-    which must give the node an edge; it is tested once axis ``i`` is set.
+    Each branch passes the capacity test, necessary for a non-empty
+    concretisation: a slot's lower bound is at most its capacity, the
+    sum of ``node_mult[w].hi`` over the nodes ``w`` at its edges' other
+    ends.  An unsplit node's slot next to a split one is tested once the
+    last axis that could add capacity is set, and kept where that is
+    positive.  An edge between split-off nodes is demanded by both ends.
     """
     groups = {}
     for a in sorted(rule.lhs.nodes):
@@ -222,15 +224,15 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     pinned = neighbour_index(   # slot of a part -> matched neighbours it must keep
         labels, {(assign[x], l, assign[y]) for (x, l, y) in rule.lhs.edges})
     own = {u: [] for u in parts}   # split node -> its slots, in slot order
-    safe, at_risk = {}, []   # other nodes' slots: with an edge to a node not split, or without
+    kept, near = {}, []   # other nodes' slots: with no split neighbour, or with one
     for slot, mu in s.slots.items():
         if slot[0] in own:
             own[slot[0]].append((*slot[1:], mu))
-        elif parts.keys() >= neighbours[slot]:
-            at_risk.append((slot, mu))
-        else:
-            safe[slot] = mu
-    kept = frozenset(e for e in s.edges if e[0] not in parts and e[2] not in parts)
+        elif neighbours[slot].isdisjoint(own):
+            kept[slot] = mu
+        else:   # with the capacity of its unsplit neighbours
+            near.append((slot, mu, sum(s.node_mult[w].hi for w in neighbours[slot] - own.keys())))
+    kept_edges = frozenset(e for e in s.edges if e[0] not in parts and e[2] not in parts)
 
     out = []
     for combo in itertools.product(*remainders):
@@ -256,14 +258,13 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
                         mu, fixed, sorted(universe - fixed), p == parts[u][1], node_mult)))
         if not all(axis[4] for axis in axes):
             continue
-        risky = []       # (slot, multiplicity, the reciprocal axes of its neighbours' members)
-        checks = [[] for _ in axes]   # per axis: (node, axes) to test once it is set
-        for (v, d, l, key), mu in at_risk:
-            js = [index[p, _BACK[d], l, labels[v]] for w in neighbours[v, d, l, key]
-                  for p in members[w]]
-            risky.append(((v, d, l, key), mu, js))
-            if mu.lo > 0:
-                checks[max(js)].append((v, js))
+        sides = []       # per near slot: (hi, reciprocal axis) of its split-off neighbours
+        checks = [[] for _ in axes]   # per axis: (node, capacity lacking, side) to test once set
+        for (v, d, l, key), mu, cap in near:
+            sides.append([(node_mult[p].hi, index[p, _BACK[d], l, labels[v]])
+                          for w in neighbours[v, d, l, key] if w in parts for p in members[w]])
+            if mu.lo > cap:
+                checks[max(j for _, j in sides[-1])].append((v, mu.lo - cap, sides[-1]))
 
         def search(i):   # depth first from axis i; yields once per leaf
             if i == len(axes):
@@ -274,19 +275,20 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
                 if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
                     continue
                 chosen[i] = option
-                if all(any(v in chosen[j][1] for j in js) for v, js in checks[i]):
+                if all(sum(hi for hi, j in side if v in chosen[j][1]) >= lack
+                       for v, lack, side in checks[i]):
                     yield from search(i + 1)
 
         chosen = [None] * len(axes)
         for _ in search(0):
-            slots = dict(safe)
-            edges = set(kept)
+            slots = dict(kept)
+            edges = set(kept_edges)
             for (p, d, l, key, _), (val, support) in zip(axes, chosen):
                 if val is not None:
                     slots[p, d, l, key] = val
                 edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
-            slots.update((slot, mu) for slot, mu, js in risky
-                         if any(slot[0] in chosen[j][1] for j in js))
+            slots.update((slot, mu) for (slot, mu, cap), side in zip(near, sides)   # capacity > 0
+                         if cap or any(slot[0] in chosen[j][1] for _, j in side))
             out.append((Shape(dict(node_mult), {x: labels[x] for x in node_mult},
                               edges, slots), assign))
             if len(out) > MAX_BRANCHES:
@@ -299,22 +301,20 @@ def _slot_options(mu, fixed, extras, is_rem, node_mult):
     """(value, support) branches for one slot of a split-off node.
 
     ``fixed`` holds the matched neighbours the slot keeps, ``extras`` the
-    other candidates.  A remainder keeps the collector's value; a
-    concrete part takes each approximation class its support can reach.
-    A value of None stands for an empty slot.
+    other candidates.  A concrete part takes each approximation class its
+    support can reach, a remainder ``mu`` on each support whose capacity
+    (the sum of ``node_mult[w].hi``) reaches ``mu.lo``; None is no slot.
     """
-    if is_rem:
-        return ([(None, frozenset())] if mu.lo == 0 else []) \
-            + [(mu, extra) for extra in _subsets(extras) if extra]
     t = len(fixed)
     lo = max(mu.lo, t)   # the classes 0, 1, 2+ that meet [lo, mu.hi]: none if t > mu.hi
     options = [(None, frozenset())] if lo == 0 else []
-    for val in (mult.ONE, mult.TWO_PLUS):
+    for val in [mu] if is_rem else (mult.ONE, mult.TWO_PLUS):
         if lo > val.hi or val.lo > mu.hi:
             continue
         for extra in _subsets(extras):
-            upper = t + sum(node_mult[w].hi for w in extra)
-            if (fixed or extra) and val.lo <= upper and val.hi >= t + len(extra):
+            least = t + len(extra)   # at most the capacity: every hi is 1 or more
+            if (fixed or extra) and (is_rem or val.hi >= least) and (
+                    val.lo <= least or val.lo <= t + sum(node_mult[w].hi for w in extra)):
                 options.append((val, fixed | extra))
     return options
 

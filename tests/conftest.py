@@ -1,7 +1,7 @@
 """Shared test fixtures: deterministic random graph and grammar
 generation, the symmetric graph families, the brute-force morphism and
-isomorphism oracles, the text-sorting normal form, the full-support
-reconcile and the concrete state space by definition."""
+isomorphism oracles, the capacity test, the text-sorting normal form,
+the full-support reconcile and the concrete state space by definition."""
 
 import functools
 import random
@@ -14,7 +14,7 @@ from shapespace import (ONE_PLUS, ApplyInfeasible, Graph, GraphError, Label,
                         Shape, add, binary, canonical, compare_shapes, graph,
                         unary)
 from shapespace.rules import concrete_apply, concrete_matches
-from shapespace.shapes import edge_slots
+from shapespace.shapes import edge_slots, neighbour_index
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -103,6 +103,16 @@ def strictly_isomorphic(s, t) -> bool:
     """Mutual subsumption, which forces equal multiplicities: the two
     witnesses compose to an automorphism that can only widen them."""
     return None not in compare_shapes(s, t)
+
+
+def within_capacity(s) -> bool:
+    """The capacity test, which a shape with a non-empty concretisation
+    passes: every slot's lower bound is at most the sum of
+    ``node_mult[w].hi`` over the nodes ``w`` at the other end of its
+    edges.  A concrete node has at most one edge of a label to another."""
+    ends = neighbour_index(s.labels, s.edges)
+    return all(mu.lo <= sum(s.node_mult[w].hi for w in ends.get(slot, ()))
+               for slot, mu in s.slots.items())
 
 
 def slot_order(slot):

@@ -11,7 +11,8 @@ from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
                         stats_report)
 from shapespace.explore import make_engine
 
-from conftest import reference_concrete, strictly_isomorphic
+from conftest import (random_grammar_text, reference_concrete, strictly_isomorphic,
+                      within_capacity)
 
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
@@ -308,6 +309,53 @@ def test_relabelling_a_node_with_a_self_loop_keeps_its_successor(subsumption):
     shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
     for g in concrete_ts.states.values():
         assert covered(g, shapes)
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_stored_states_pass_the_capacity_test(name, subsumption):
+    ts, _ = run(load_bundled(name), subsumption=subsumption, max_states=200)
+    assert all(within_capacity(s) for s in ts.states.values())
+
+
+# The first twelve seeds reach states that fail the capacity test when
+# materialise leaves an unsplit node's slot unchecked; the last eight
+# never do.
+CAPACITY_SEEDS = (13, 25, 43, 44, 104, 122, 177, 219, 234, 242, 269, 274,
+                  94, 141, 144, 158, 172, 194, 196, 256)
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("seed", CAPACITY_SEEDS)
+def test_random_grammar_states_pass_the_capacity_test(seed, subsumption):
+    text = random_grammar_text(seed)
+    ts, _ = run(parse_grammar(text), subsumption=subsumption, max_depth=4)
+    assert all(within_capacity(s) for s in ts.states.values()), text
+
+
+PARALLEL = parse_grammar("""
+label P unary
+label e binary
+graph
+  node a P
+  node b P
+  edge a -e-> b
+rule link
+  use node x P
+  use node y P
+  new edge y -e-> x
+""", name="parallel")
+
+
+def test_creating_an_existing_edge_leaves_no_empty_state():
+    # The concrete engine reaches 2 graphs.  A branch whose 2+ slot has
+    # one concrete node as its only support stands for no graph; keeping
+    # such branches grows this run to 562 states, 132 of them empty.
+    concrete_ts, _ = run(PARALLEL, engine="concrete", max_depth=3)
+    assert len(concrete_ts.states) == 2
+    ts, st = run(PARALLEL, subsumption=False, max_depth=3)
+    assert (st.generated, st.transitions_generated) == (354, 2202)
+    assert all(within_capacity(s) for s in ts.states.values())
 
 
 def test_abstract_exploration_builds_no_graph(monkeypatch):

@@ -13,9 +13,10 @@ from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_ONE, ZERO_PLUS,
                         prematch, unary)
 from shapespace import rules
 
-from conftest import full_reconcile, random_graph, strictly_isomorphic
+from conftest import full_reconcile, random_graph, strictly_isomorphic, within_capacity
 
-L, O, I, P, S, C, K, last = (unary(t) for t in ("L", "O", "I", "P", "S", "C", "K", "last"))
+L, O, I, P, Q, S, C, K, last = (unary(t) for t in
+                                ("L", "O", "I", "P", "Q", "S", "C", "K", "last"))
 at, conn, n, link = binary("at"), binary("conn"), binary("n"), binary("link")
 
 READER, ERASER, CREATOR, EMBARGO = "reader", "eraser", "creator", "embargo"
@@ -303,6 +304,49 @@ def test_untouched_slot_supported_only_by_a_split_collector(monkeypatch):
     assert len(built) == len(mats)
 
 
+def test_unsplit_slot_keeps_its_capacity_when_a_neighbour_splits():
+    # Q-node 2 has at least two links to P nodes: to node 1 and to some
+    # of the 1+ collector 0.  Grabbing a P from 0 splits it into part 3
+    # and an optional remainder 4.  Node 1 alone cannot carry 2's 2+
+    # slot, so each branch links 2 to the part or to the remainder.
+    labels = {0: frozenset({P}), 1: frozenset({P}), 2: frozenset({Q})}
+    s = Shape({0: ONE_PLUS, 1: ONE, 2: ONE}, labels, {(2, link, 0), (2, link, 1)},
+              {(2, "out", link, labels[0]): TWO_PLUS, (1, "in", link, labels[2]): ONE,
+               (0, "in", link, labels[2]): ZERO_PLUS})
+    s.validate()
+    r = Rule("grab", {0: READER}, ((0, P, 0, READER),))
+    m = next(m for m in prematch(r, s) if m[0] == 0)
+    mats = materialise_at(r, m, s)
+    assert sorted((len(branch.node_mult), sorted(branch.edges)) for branch, _ in mats) == [
+        (3, [(2, link, 1), (2, link, 3)]),
+        (4, [(2, link, 1), (2, link, 3)]),
+        (4, [(2, link, 1), (2, link, 3), (2, link, 4)]),
+        (4, [(2, link, 1), (2, link, 4)])]
+    for branch, _ in mats:
+        valid_shape(branch)
+        assert within_capacity(branch)
+        assert branch.slots[2, "out", link, labels[0]] == TWO_PLUS
+
+
+def test_remainder_slot_needs_the_capacity_of_its_support():
+    # Every P of the 2+ collector 0 has at least two links to the 2+ K
+    # collector 1.  Reading one P and one K splits both: P part 2 and
+    # remainder 3, K part 4 and remainder 5.  The P remainder keeps its
+    # 2+ slot, which the one K part alone cannot carry.
+    labels = {0: frozenset({P}), 1: frozenset({K})}
+    s = Shape({0: TWO_PLUS, 1: TWO_PLUS}, labels, {(0, link, 1)},
+              {(0, "out", link, labels[1]): TWO_PLUS, (1, "in", link, labels[0]): ONE_PLUS})
+    s.validate()
+    r = Rule("pick", {0: READER, 1: READER}, ((0, P, 0, READER), (1, K, 1, READER)))
+    (m,) = prematch(r, s)
+    mats = materialise_at(r, m, s)
+    assert len(mats) == 4
+    for branch, _ in mats:
+        valid_shape(branch)
+        assert within_capacity(branch)
+        assert (3, link, 5) in branch.edges
+
+
 def optional_remainder():
     """A 1+ packet collector at a location, and a rule grabbing one packet:
     the remainder may be empty or not, one branch each."""
@@ -361,6 +405,7 @@ def test_materialise_builds_only_valid_distinct_branches(rewrite_steps):
         branches += len(mats)
         for branch, _ in mats:
             valid_shape(branch)
+            assert within_capacity(branch)
         for x, y in itertools.combinations(mats, 2):
             assert x != y   # node_mult, labels, edges, slots and match
     assert branches >= 50
