@@ -236,53 +236,43 @@ def certificate(g: Labelled) -> str:
 
 
 def morphisms(pattern: Labelled, host: Labelled, injective: bool,
-              base: dict | None = None, avoid=(), candidates: dict | None = None):
+              candidates: dict | None = None):
     """All label/structure-preserving node maps of ``pattern`` into ``host``:
     each node's labels are among its image's, each edge's image is an edge.
 
-    ``base`` pins a partial assignment; ``avoid`` blocks host nodes as
-    images for the unpinned pattern nodes; ``candidates`` lists, per
-    unpinned pattern node, its possible images in search order (every
-    host node by default).  Nodes with fewer candidates are placed
-    first, and each pattern edge is checked as soon as both of its
-    ends are placed.  A stack of candidate iterators, one per placed
-    node, stands in for recursion, so large patterns fit.  With the
-    default candidates and no ``base``, nodes are placed in id order and
-    images tried in ascending order, so the maps come sorted, each with
-    its items in pattern-node order.
+    ``candidates`` lists, per pattern node, its possible images in
+    search order (every host node by default); it is the one constraint
+    on images.  Nodes with fewer candidates are placed first, and each
+    pattern edge is checked as soon as both of its ends are placed.  A
+    stack of candidate iterators, one per placed node, stands in for
+    recursion, so large patterns fit.  With the default candidates,
+    nodes are placed in id order and images tried in ascending order,
+    so the maps come sorted, each with its items in pattern-node order.
     """
-    mapping = dict(base or {})
     want, have = pattern.labels, host.labels
     if candidates is None:
         every = sorted(have)
         candidates = {v: every for v in want}
-    free = sorted((v for v in want if v not in mapping),
-                  key=lambda v: (len(candidates[v]), v))
-    rank = {v: i for i, v in enumerate(free, 1)}
-    checks = [[] for _ in range(len(free) + 1)]
-    for (v, l, w) in pattern.edges:
-        checks[max(rank.get(v, 0), rank.get(w, 0))].append((v, l, w))
-    edges = host.edges
-    used = set(mapping.values()) if injective else set()
-
-    def placed(i):
-        return all((mapping[v], l, mapping[w]) in edges for (v, l, w) in checks[i])
-
-    if not placed(0) or any(not want[v] <= have[x] for v, x in mapping.items()):
-        return
+    free = sorted(want, key=lambda v: (len(candidates[v]), v))
     if not free:
-        yield dict(mapping)
+        yield {}
         return
+    rank = {v: i for i, v in enumerate(free)}
+    checks = [[] for _ in free]
+    for (v, l, w) in pattern.edges:
+        checks[max(rank[v], rank[w])].append((v, l, w))
+    edges = host.edges
+    mapping, used = {}, set()
     stack = [iter(candidates[free[0]])]
     while stack:
         i = len(stack) - 1
         v = free[i]
         used.discard(mapping.pop(v, None))
         for x in stack[i]:
-            if x in avoid or x in used or not want[v] <= have[x]:
+            if x in used or not want[v] <= have[x]:
                 continue
             mapping[v] = x
-            if placed(i + 1):
+            if all((mapping[a], l, mapping[b]) in edges for (a, l, b) in checks[i]):
                 break
             del mapping[v]
         else:

@@ -22,7 +22,6 @@ incident edges.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, graph, morphisms
@@ -121,9 +120,10 @@ def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
     if not rule.has_nac:
         return False
     pattern, readers = rule._nac
-    base = {v: m[v] for v in readers}
-    avoid = set(m.values()) - set(base.values())
-    return next(morphisms(pattern, g, injective=True, base=base, avoid=avoid), None) is not None
+    taken = set(m.values())
+    others = [x for x in sorted(g.labels) if x not in taken]
+    candidates = {v: [m[v]] if v in readers else others for v in pattern.labels}
+    return next(morphisms(pattern, g, injective=True, candidates=candidates), None) is not None
 
 
 def concrete_matches(rule: Rule, g: Graph):
@@ -154,23 +154,10 @@ def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
 
 
 def prematch(rule: Rule, s: Shape):
-    """Possibly non-injective morphisms of the LHS into the shape
-    whose shared images remain multiplicity-feasible."""
-    return [m for m in morphisms(rule.lhs, s, injective=False)
-            if _prematch_feasible(rule, m, s)]
-
-
-def _prematch_feasible(rule: Rule, m: dict, s: Shape) -> bool:
-    for u, k in Counter(m.values()).items():
-        if k > s.node_mult[u].hi:
-            return False
-    shared = Counter((m[a], l, m[b]) for (a, l, b) in rule.lhs.edges)
-    for (v, l, w), k in shared.items():
-        if k > 1 and k > min(
-                s.node_mult[slot[0]].hi * s.slots[slot].hi
-                for slot in edge_slots(s.labels, v, l, w)):
-            return False
-    return True
+    """The bare search: every morphism of the LHS into the shape,
+    injective or not.  ``materialise`` rejects those that have no
+    concrete instance."""
+    return list(morphisms(rule.lhs, s, injective=False))
 
 
 # --- abstract engine: materialise ----------------------------------------
@@ -188,11 +175,14 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     ``(Shape, match)`` pair; every branch shares the one concrete match.
     ``neighbours`` is ``neighbour_index`` of ``s``, built once per state.
 
-    ``phi`` comes from ``prematch``, so no node has more LHS nodes mapped
-    onto it than its multiplicity allows.  Every branch is built valid
-    and no two are equal.  They come in ``itertools.product`` order over
-    the remainder choices of the split nodes (in node order), then in
-    depth-first order of slot choices, in the order ``s`` stores them.
+    It alone rejects a match, with no branch, at two gates: a node has
+    more LHS nodes on it than its multiplicity allows, or a slot of an
+    unsplit (concrete) node has more matched neighbours, each a distinct
+    edge, than its upper bound.  ``_slot_options`` does the same for a
+    split-off part's slot.  Every branch is built valid and no two are
+    equal.  They come in ``itertools.product`` order over the remainder
+    choices of the split nodes (in node order), then in depth-first
+    order of slot choices, in the order ``s`` stores them.
 
     Each branch passes the capacity test, necessary for a non-empty
     concretisation: a slot's lower bound is at most its capacity, the
@@ -211,6 +201,8 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     labels = dict(s.labels)   # every node id a branch may use
     for u in sorted(groups):
         grp, mu = groups[u], s.node_mult[u]
+        if len(grp) > mu.hi:
+            return []
         if mu.is_concrete:
             assign[grp[0]] = u
             continue
@@ -221,8 +213,10 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
         remainders.append(([None] if lo == 0 else [])
                           + ([positive_part(bounded(lo, hi))] if hi >= 1 else []))
 
-    pinned = neighbour_index(   # slot of a part -> matched neighbours it must keep
+    pinned = neighbour_index(   # slot -> matched neighbours it must keep
         labels, {(assign[x], l, assign[y]) for (x, l, y) in rule.lhs.edges})
+    if any(len(ws) > s.slots[slot].hi for slot, ws in pinned.items() if slot[0] in s.node_mult):
+        return []
     own = {u: [] for u in parts}   # split node -> its slots, in slot order
     kept, near = {}, []   # other nodes' slots: with no split neighbour, or with one
     for slot, mu in s.slots.items():

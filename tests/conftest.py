@@ -1,7 +1,8 @@
 """Shared test fixtures: deterministic random graph and grammar
 generation, the symmetric graph families, the brute-force morphism and
-isomorphism oracles, the capacity test, the text-sorting normal form,
-the full-support reconcile and the concrete state space by definition."""
+isomorphism oracles, the capacity and count tests, the text-sorting
+normal form, the full-support reconcile and the concrete state space by
+definition."""
 
 import functools
 import random
@@ -113,6 +114,15 @@ def within_capacity(s) -> bool:
     ends = neighbour_index(s.labels, s.edges)
     return all(mu.lo <= sum(s.node_mult[w].hi for w in ends.get(slot, ()))
                for slot, mu in s.slots.items())
+
+
+def within_count(s) -> bool:
+    """The count test, which a shape with a non-empty concretisation
+    passes: every slot of a concrete node has at most ``hi`` neighbours,
+    since each neighbour stands for at least one edge."""
+    ends = neighbour_index(s.labels, s.edges)
+    return all(len(ends.get(slot, ())) <= mu.hi for slot, mu in s.slots.items()
+               if s.node_mult[slot[0]].is_concrete)
 
 
 def slot_order(slot):

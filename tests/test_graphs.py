@@ -110,8 +110,10 @@ def test_morphisms_agree_with_brute_force(injective):
                             rng.randint(0, min(len(pattern.nodes), len(host.nodes))))
         base = dict(zip(pinned, rng.sample(sorted(host.nodes), len(pinned))))
         avoid = set(rng.sample(sorted(host.nodes), rng.randint(0, len(host.nodes))))
+        others = [x for x in sorted(host.nodes) if x not in avoid]
+        candidates = {v: [base[v]] if v in base else others for v in pattern.nodes}
         fast = sorted(tuple(sorted(m.items()))
-                      for m in morphisms(pattern, host, injective, base, avoid))
+                      for m in morphisms(pattern, host, injective, candidates))
         assert fast == brute_force_morphisms(pattern, host, injective, base, avoid)
         nonempty += bool(fast)
     assert nonempty >= 30

@@ -183,13 +183,24 @@ def test_prematch_allows_noninjective_on_collectors():
     assert any(m[1] == m[2] == packets for m in ms)
 
 
-def test_prematch_respects_node_multiplicity_bound():
+# --- materialise ----------------------------------------------------------
+
+
+def materialise_at(rule, m, s):
+    return materialise(rule, m, s, neighbour_index(s.labels, s.edges))
+
+
+def test_materialise_respects_node_multiplicity_bound():
     s = concrete_shape(graph(range(2), [(0, L, 0), (1, P, 1), (1, at, 0)]))
     two = Rule("two-packets", {0: READER, 1: READER, 2: READER},
                ((0, L, 0, READER), (1, P, 1, READER), (2, P, 2, READER),
                 (1, at, 0, READER), (2, at, 0, READER)))
-    # both packet nodes would have to share the single concrete packet
-    assert prematch(two, s) == []
+    # both packet nodes would have to share the single concrete packet:
+    # prematch finds that map, and materialise gives it no branch
+    ms = prematch(two, s)
+    assert ms
+    for m in ms:
+        assert materialise_at(two, m, s) == []
 
 
 def two_k_neighbours_rule():
@@ -199,21 +210,18 @@ def two_k_neighbours_rule():
                  (0, link, 1, READER), (0, link, 2, READER)))
 
 
-def test_prematch_rejects_a_shared_edge_beyond_its_slot():
+def test_materialise_rejects_a_shared_edge_beyond_its_slot():
     # the concrete location has exactly one link into the K collector,
-    # so the rule's two edges cannot both map onto it
+    # so the rule's two edges cannot both map onto it: prematch finds
+    # that map, and materialise gives it no branch
     labels = {0: frozenset({L}), 1: frozenset({K})}
     s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(0, link, 1)},
               {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ZERO_ONE})
     s.validate()
-    assert prematch(two_k_neighbours_rule(), s) == []
-
-
-# --- materialise ----------------------------------------------------------
-
-
-def materialise_at(rule, m, s):
-    return materialise(rule, m, s, neighbour_index(s.labels, s.edges))
+    ms = prematch(two_k_neighbours_rule(), s)
+    assert ms
+    for m in ms:
+        assert materialise_at(two_k_neighbours_rule(), m, s) == []
 
 
 def test_materialise_on_concrete_match_is_identity():
@@ -269,14 +277,15 @@ def test_materialise_demands_part_to_part_edges_from_both_ends():
 
 def test_materialise_drops_a_part_whose_matched_edges_exceed_its_slot():
     # each location of the 2+ collector has exactly one link to a K node,
-    # so the split-off part cannot keep both matched edges: no branch
+    # so the split-off part cannot keep both matched edges: no branch.
+    # Two of the four matches put both K readers on one concrete node.
     labels = {0: frozenset({L}), 1: frozenset({K}), 2: frozenset({K})}
     s = Shape({0: TWO_PLUS, 1: ONE, 2: ONE}, labels, {(0, link, 1), (0, link, 2)},
               {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ONE_PLUS,
                (2, "in", link, labels[0]): ONE_PLUS})
     s.validate()
     ms = prematch(two_k_neighbours_rule(), s)
-    assert len(ms) == 2
+    assert len(ms) == 4
     for m in ms:
         assert materialise_at(two_k_neighbours_rule(), m, s) == []
 
