@@ -222,29 +222,31 @@ class _Store:
     the record; with subsumption on, ``buckets`` hold the unmarked
     states, each bucket an antichain: a ``Frame``, made with the bucket,
     and its members, id -> coordinates.  The scan compares coordinates,
-    with no isomorphism search."""
+    with no isomorphism search.  The store is the one writer of
+    ``ts.states`` and ``ts.marked``: it numbers fresh states from 0 and
+    marks, in reachability mode drops, the states a newcomer subsumes."""
 
-    def __init__(self, engine, subsumption: bool):
+    def __init__(self, engine, config: ExploreConfig, ts: TransitionSystem):
         self.engine = engine
-        self.bucket_of = engine.bucket if subsumption else None
+        self.bucket_of = engine.bucket if config.subsumption else None
+        self.drop = config.mode == "reach"
+        self.ts = ts
         self.live = {}
         self.buckets = {}
-        self.newly_marked = []
+        self.ids = itertools.count()
 
-    def add(self, ts: TransitionSystem, state, next_id):
-        """Store ``state`` if fresh; returns ``(fresh, canonical id)``.
+    def add(self, state):
+        """Store ``state`` if fresh; returns ``(fresh, canonical id, ids
+        of the stored states it subsumed)``.
 
         In an antichain only an exact duplicate can subsume the
         newcomer, so the bucket is scanned only on an identity miss.
-        States subsumed by the newcomer are marked; ``self.newly_marked``
-        carries them to the caller for frontier trimming.
         """
-        self.newly_marked = []
         i = self.live.get(state)
         if i is None and (key := self.engine.identity(state)) is not state:
             i = self.live.get(key)
         if i is not None:
-            return False, i
+            return False, i, ()
         members, orbit = {}, [None]
         if self.bucket_of:
             form, labelling = self.bucket_of(state)
@@ -256,44 +258,44 @@ class _Store:
         for i, old in members.items():
             new_below_old, old_below_new = frame.compare(orbit, old)
             if new_below_old:
-                return False, i
+                return False, i, ()
             if old_below_new:
                 below.append(i)
-        for j in below:
-            del members[j]
-            del self.live[ts.states[j]]
-            self.live.pop(self.engine.identity(ts.states[j]), None)
-            ts.marked.add(j)
-            self.newly_marked.append(j)
-        i = next(next_id)
+        ts = self.ts
+        for j in below:   # a bucket's state is its own identity
+            del members[j], self.live[ts.states[j]]
+            if self.drop:
+                del ts.states[j]
+            else:
+                ts.marked.add(j)
+        i = next(self.ids)
         ts.states[i] = state
         self.live[state] = self.live[key] = i
         members[i] = orbit[0]
-        return True, i
+        return True, i, below
 
 
 # --- the loop -------------------------------------------------------------
 
 
 def explore(grammar, config: ExploreConfig):
-    """Explore ``grammar``'s state space; returns (TransitionSystem, stats)."""
+    """Explore ``grammar``'s state space; returns (TransitionSystem, stats).
+
+    The store writes ``ts.states`` and ``ts.marked``, the loop writes
+    ``ts.transitions``.  ``waiting`` maps each state still to expand to
+    its depth; the frontier keeps their order."""
     t0 = time.perf_counter()
     engine = make_engine(grammar, config.engine)
     stats = ExplorationStats(grammar=grammar.name, engine=config.engine,
                              strategy=config.strategy,
                              subsumption=config.subsumption, mode=config.mode)
     ts = TransitionSystem()
-    store = _Store(engine, config.subsumption)
-    next_id = itertools.count()
-
-    fresh, start_id = store.add(ts, engine.start_state(), next_id)
-    assert fresh and start_id == 0
+    store = _Store(engine, config, ts)
+    store.add(engine.start_state())
     stats.generated = 1
-    ts.start = start_id
 
-    frontier = deque([start_id])
-    in_frontier = {start_id}
-    depth = {start_id: 0}
+    frontier = deque([ts.start])
+    waiting = {ts.start: 0}
     complete = True
 
     while frontier:
@@ -304,29 +306,23 @@ def explore(grammar, config: ExploreConfig):
             complete = False
             break
         i = frontier.popleft() if config.strategy == "bfs" else frontier.pop()
-        if i not in in_frontier:       # trimmed after being marked subsumed
+        d = waiting.pop(i, None)
+        if d is None:                  # discarded: a newcomer subsumed it
             continue
-        in_frontier.discard(i)
-        if config.max_depth is not None and depth[i] >= config.max_depth:
+        if config.max_depth is not None and d >= config.max_depth:
             continue
         for (label, succ) in engine.successors(ts.states[i]):
             stats.transitions_generated += 1
-            was_fresh, j = store.add(ts, succ, next_id)
+            was_fresh, j, below = store.add(succ)
             if config.mode == "full":
                 ts.transitions.add((i, label, j))
             if was_fresh:
                 stats.generated += 1
-                depth[j] = depth[i] + 1
+                waiting[j] = d + 1
                 frontier.append(j)
-                in_frontier.add(j)
-            for k in store.newly_marked:
+            for k in below:
                 stats.subsumed += 1
-                if k in in_frontier:
-                    in_frontier.discard(k)
-                    stats.discarded += 1
-                if config.mode == "reach":
-                    ts.states.pop(k)
-                    ts.marked.discard(k)
+                stats.discarded += waiting.pop(k, None) is not None
 
     if not config.subsumption:
         stats.maximum = stats.generated
@@ -345,15 +341,16 @@ CSV_HEADER = ("grammar,engine,strategy,subsumption,mode,maximum,generated,"
               "transitions_relevant,time_ms,peak_mem_bytes,complete")
 
 
+# Boolean columns, written off/on and false/true.
+_SWITCHES = {"subsumption": ("off", "on"), "complete": ("false", "true")}
+
+
 def stats_row(stats: ExplorationStats) -> str:
-    cells = [stats.grammar, stats.engine, stats.strategy,
-             "on" if stats.subsumption else "off", stats.mode,
-             "" if stats.maximum is None else str(stats.maximum),
-             str(stats.generated), str(stats.subsumed), str(stats.relevant),
-             str(stats.discarded), str(stats.transitions_generated),
-             str(stats.transitions_relevant), str(stats.time_ms),
-             str(stats.peak_mem_bytes),
-             "true" if stats.complete else "false"]
+    cells = []
+    for name in CSV_HEADER.split(","):
+        value = getattr(stats, name)
+        cells.append(_SWITCHES[name][value] if name in _SWITCHES
+                     else "" if value is None else str(value))
     return ",".join(cells)
 
 

@@ -34,6 +34,9 @@ ERASER = "eraser"
 CREATOR = "creator"
 EMBARGO = "embargo"
 ROLES = (READER, ERASER, CREATOR, EMBARGO)
+# Edge role -> the node roles its two ends may have.
+_ENDS = {READER: (READER,), ERASER: (READER, ERASER),
+         CREATOR: (READER, CREATOR), EMBARGO: (READER, EMBARGO)}
 
 # Safety valve for the two non-deterministic materialisation steps.
 MAX_BRANCHES = 50_000
@@ -82,15 +85,9 @@ class Rule:
                     raise RuleError(f"edge endpoint {x} undeclared in rule {self.name}")
             if l.is_unary and v != w:
                 raise RuleError(f"unary label {l.text} on non-loop rule edge")
-            ends = {self.node_roles[v], self.node_roles[w]}
-            if role == CREATOR and not ends <= {READER, CREATOR}:
-                raise RuleError(f"creator edge touches a non-reader/creator node in {self.name}")
-            if role == ERASER and not ends <= {READER, ERASER}:
-                raise RuleError(f"eraser edge touches a non-reader/eraser node in {self.name}")
-            if role == EMBARGO and not ends <= {READER, EMBARGO}:
-                raise RuleError(f"embargo edge must attach to reader nodes in {self.name}")
-            if role == READER and not ends <= {READER}:
-                raise RuleError(f"reader edge touches a non-reader node in {self.name}")
+            if not {self.node_roles[v], self.node_roles[w]} <= set(_ENDS[role]):
+                raise RuleError(f"{role} edge touches a non-{'/'.join(_ENDS[role])} "
+                                f"node in {self.name}")
         nodes = {r: sorted(v for v, x in self.node_roles.items() if x == r) for r in ROLES}
         self.lhs = graph(sorted(nodes[READER] + nodes[ERASER]),
                          ((v, l, w) for (v, l, w, r) in self.edges if r in (READER, ERASER)))

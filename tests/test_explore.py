@@ -162,6 +162,29 @@ def test_subsumption_generates_no_more_than_maximum():
         assert on.generated <= off.maximum
 
 
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("grammar", [FIREWALL2, FIREWALL3], ids=["firewall-2", "firewall-3"])
+def test_states_never_expanded_are_the_discarded_ones(monkeypatch, grammar, strategy):
+    # Run to completion, a stored state goes unexpanded only when a
+    # newcomer subsumed it while it waited: it is marked, and
+    # ``discarded`` counts exactly these states.
+    explore_module = importlib.import_module("shapespace.explore")
+    successors = explore_module.AbstractEngine.successors
+    expanded = []
+
+    def recorded(engine, s):
+        expanded.append(s)
+        return successors(engine, s)
+
+    monkeypatch.setattr(explore_module.AbstractEngine, "successors", recorded)
+    ts, st = run(grammar, strategy=strategy, subsumption=True)
+    assert st.complete
+    seen = {id(s) for s in expanded}
+    never = {i for i, s in ts.states.items() if id(s) not in seen}
+    assert never <= ts.marked
+    assert len(never) == st.discarded
+
+
 def test_transitions_relevant_counts_relevant_sources():
     ts, st = run(FIREWALL2, strategy="dfs", subsumption=True)
     expected = sum(1 for (src, _, _) in ts.transitions if src not in ts.marked)

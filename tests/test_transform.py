@@ -72,16 +72,25 @@ def chain(k):
 
 
 def test_rule_role_validation():
-    with pytest.raises(RuleError):   # creator edge touching an eraser node
-        Rule("bad", {0: ERASER, 1: CREATOR}, ((0, at, 1, CREATOR),))
-    with pytest.raises(RuleError):   # eraser edge touching a creator node
-        Rule("bad", {0: READER, 1: CREATOR}, ((0, at, 1, ERASER),))
-    with pytest.raises(RuleError):   # embargo edge on an eraser node
-        Rule("bad", {0: ERASER, 1: EMBARGO}, ((0, at, 1, EMBARGO),))
     with pytest.raises(RuleError):   # dangling endpoint
         Rule("bad", {0: READER}, ((0, at, 1, READER),))
     with pytest.raises(RuleError):   # unary label between distinct nodes
         Rule("bad", {0: READER, 1: READER}, ((0, P, 1, READER),))
+
+
+# Edge role -> the node roles its two ends may have.
+ALLOWED_ENDS = {READER: {READER}, ERASER: {READER, ERASER},
+                CREATOR: {READER, CREATOR}, EMBARGO: {READER, EMBARGO}}
+
+
+@pytest.mark.parametrize("edge,src,tgt", list(itertools.product(ALLOWED_ENDS, repeat=3)))
+def test_rule_accepts_exactly_the_allowed_edge_ends(edge, src, tgt):
+    build = lambda: Rule("r", {0: src, 1: tgt}, ((0, at, 1, edge),))
+    if {src, tgt} <= ALLOWED_ENDS[edge]:
+        build()
+    else:
+        with pytest.raises(RuleError, match=f"^{edge} edge "):
+            build()
 
 
 def test_lhs_collects_readers_and_erasers():
@@ -509,6 +518,29 @@ def test_apply_lowers_only_the_lower_bound_next_to_a_collector():
     valid_shape(t)
     assert x1 not in t.node_mult
     assert t.slots[(w, "in", l, frozenset({X}))] == ZERO_ONE
+
+
+def test_apply_relabel_moves_one_bound_next_to_a_collector():
+    # Two concrete X nodes each have an l-edge into the 2+ collector W,
+    # and each W node has exactly one l-edge from an X node.  Relabelling
+    # one X node to Y moves the edge of some W nodes, not of all: the
+    # slot keyed {X} loses its lower bound, the slot keyed {Y} gains
+    # only an upper one.
+    X, Y, W, l = unary("X"), unary("Y"), unary("W"), binary("l")
+    x1, x2, w = 0, 1, 2
+    labels = {x1: frozenset({X}), x2: frozenset({X}), w: frozenset({W})}
+    branch = Shape({x1: ONE, x2: ONE, w: TWO_PLUS}, labels,
+                   {(x1, l, w), (x2, l, w)},
+                   {(x1, "out", l, labels[w]): ONE,
+                    (x2, "out", l, labels[w]): ONE,
+                    (w, "in", l, labels[x1]): ONE})
+    branch.validate()
+    flip = Rule("flip", {0: READER}, ((0, X, 0, ERASER), (0, Y, 0, CREATOR)))
+    t = apply(flip, branch, {0: x1})
+    valid_shape(t)
+    assert t.labels[x1] == frozenset({Y})
+    assert t.slots[(w, "in", l, frozenset({X}))] == ZERO_ONE
+    assert t.slots[(w, "in", l, frozenset({Y}))] == ZERO_ONE
 
 
 def test_normalise_merges_equal_signatures():
