@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dot import shape_dot, transition_system_dot
-from .explore import ExploreConfig, ExploreError, explore, stats_report
+from .explore import ENGINES, ExploreConfig, ExploreError, explore, stats_report
 from .grammar import GrammarError, load_bundled, parse_grammar
 from .shapes import abstract
 
@@ -41,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="run the exploration loop")
     ex.add_argument("grammar", help="grammar file (or bundled grammar name)")
-    ex.add_argument("--engine", choices=("abstract", "concrete"),
-                    default="abstract")
+    ex.add_argument("--engine", choices=ENGINES, default="abstract")
     ex.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs")
     ex.add_argument("--subsumption", choices=("on", "off"), default="on")
     ex.add_argument("--mode", choices=("full", "reach"), default="full")

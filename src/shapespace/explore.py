@@ -31,7 +31,7 @@ class ExploreError(ValueError):
 
 @dataclass
 class ExploreConfig:
-    engine: str = "abstract"       # "abstract" | "concrete"
+    engine: str = "abstract"       # a key of ``ENGINES``
     strategy: str = "bfs"          # "bfs" | "dfs"
     subsumption: bool = True
     mode: str = "full"             # "full" | "reach"
@@ -40,7 +40,7 @@ class ExploreConfig:
     timeout: float | None = None   # seconds
 
     def __post_init__(self):
-        if self.engine not in ("abstract", "concrete"):
+        if self.engine not in ENGINES:
             raise ExploreError(f"unknown engine {self.engine!r}")
         if self.strategy not in ("bfs", "dfs"):
             raise ExploreError(f"unknown strategy {self.strategy!r}")
@@ -91,15 +91,14 @@ class TransitionSystem:
         return sorted(i for i in self.states if i not in self.marked)
 
     def audit(self, engine):
-        """No stored pair may be strictly isomorphic: an isomorphism
-        search, independent of the store's identities."""
+        """No stored pair may coincide (``engine.coincide``): an
+        isomorphism search, independent of the store's identities."""
         groups = {}
         for i, s in self.states.items():
             groups.setdefault((len(s.edges), *sorted(s.colours.values())), []).append(i)
         for ids in groups.values():
             for i, j in itertools.combinations(ids, 2):
-                below, above = engine.compare(self.states[i], self.states[j])
-                if below and above:
+                if engine.coincide(self.states[i], self.states[j]):
                     raise ExploreError(f"stored states {i} and {j} coincide")
 
 
@@ -130,9 +129,8 @@ class ConcreteEngine:
             vars(g)["certificate"] = graph_certificate(g)
         return vars(g)["certificate"]
 
-    def compare(self, g: Graph, h: Graph):
-        iso = find_isomorphism(g, h) is not None
-        return iso, iso
+    def coincide(self, g: Graph, h: Graph) -> bool:
+        return find_isomorphism(g, h) is not None
 
     def successors(self, g: Graph):
         twin = twins(g)
@@ -152,7 +150,7 @@ class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
     are keyed by the shape's canonical form; its labelling writes a
-    shape in the bucket's ``Frame``.  Only the audit calls ``compare``."""
+    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``."""
 
     def __init__(self, grammar):
         self.grammar = grammar
@@ -172,8 +170,8 @@ class AbstractEngine:
     def bucket(self, s: Shape):
         return canonical(s)
 
-    def compare(self, s: Shape, t: Shape):
-        return tuple(w is not None for w in compare_shapes(s, t))
+    def coincide(self, s: Shape, t: Shape) -> bool:   # subsumed both ways
+        return None not in compare_shapes(s, t)
 
     def successors(self, s: Shape):
         out = []
@@ -204,12 +202,13 @@ def _abstractness(s: Shape) -> int:
     return sum(1 for m in entries if math.isinf(m.hi))
 
 
+ENGINES = {"abstract": AbstractEngine, "concrete": ConcreteEngine}
+
+
 def make_engine(grammar, name: str):
-    if name == "concrete":
-        return ConcreteEngine(grammar)
-    if name == "abstract":
-        return AbstractEngine(grammar)
-    raise ExploreError(f"unknown engine {name!r}")
+    if name not in ENGINES:
+        raise ExploreError(f"unknown engine {name!r}")
+    return ENGINES[name](grammar)
 
 
 # --- freshness ------------------------------------------------------------

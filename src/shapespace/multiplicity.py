@@ -19,12 +19,6 @@ import math
 
 OMEGA = math.inf
 
-# Lower bounds may not exceed 2 and finite upper bounds may not exceed 1;
-# lifting the precision bound means relaxing these two constants and
-# adding the new values to ``BOUNDED``.
-_MAX_LO = 2
-_MAX_FINITE_HI = 1
-
 
 @functools.total_ordering
 class Multiplicity:
@@ -108,15 +102,11 @@ _TEXT = {
 
 
 def bounded(lo, hi) -> Multiplicity:
-    """Smallest bounded value whose interval contains ``[lo, hi]``."""
+    """Smallest of the six values whose interval contains ``[lo, hi]``:
+    the lower bound cut to at most 2, an upper bound above 1 widened."""
     if lo > hi:
         raise ValueError(f"empty interval <{lo},{hi}>")
-    new_lo = min(int(lo), _MAX_LO)
-    if hi <= _MAX_FINITE_HI:
-        new_hi = int(hi)
-    else:
-        new_hi = OMEGA
-    return _VALUES[new_lo, new_hi]
+    return _VALUES[min(int(lo), 2), int(hi) if hi <= 1 else OMEGA]
 
 
 def approx_card(k: int) -> Multiplicity:

@@ -110,8 +110,11 @@ def test_materialisation_branch_cap_exits_1(monkeypatch, capsys):
     assert "'add'" in err[0] and "branch" in err[0]
 
 
-def test_bad_flag_usage_exits_1():
+def test_bad_flag_usage_exits_1(capsys):
     assert cli_main(["explore", gg("counter"), "--engine", "quantum"]) == 1
+    assert cli_main(["explore", "counter", "--engine", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "abstract" in err and "concrete" in err
     assert cli_main(["frobnicate"]) == 1
 
 

@@ -9,7 +9,7 @@ from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
                         bundled_grammar_names, certificate, compare_shapes,
                         covered, explore, load_bundled, parse_grammar,
                         stats_report)
-from shapespace.explore import make_engine
+from shapespace.explore import ENGINES, make_engine
 
 from conftest import (random_grammar_text, reference_concrete, strictly_isomorphic,
                       within_capacity, within_count)
@@ -120,6 +120,21 @@ def test_abstract_engine_rejects_negative_conditions():
     run(g, engine="concrete", max_depth=2)   # concrete engine accepts it
 
 
+@pytest.mark.parametrize("field", ["engine", "strategy", "mode"])
+def test_config_rejects_unknown_names(field):
+    with pytest.raises(ExploreError, match=f"unknown {field} 'nope'"):
+        ExploreConfig(**{field: "nope"})
+
+
+def test_engine_table_names_every_engine():
+    assert sorted(ENGINES) == ["abstract", "concrete"]
+    for name, cls in ENGINES.items():
+        assert type(make_engine(COUNTER, name)) is cls
+        ExploreConfig(engine=name)
+    with pytest.raises(ExploreError, match="unknown engine 'nope'"):
+        make_engine(COUNTER, "nope")
+
+
 # --- statistics -----------------------------------------------------------
 
 
@@ -208,10 +223,11 @@ def test_no_stored_pair_strictly_isomorphic(grammar, engine):
 
 
 def test_audit_flags_duplicates():
-    ts, _ = run(COUNTER)
-    dup = TransitionSystem(states={0: ts.states[0], 1: ts.states[0]})
-    with pytest.raises(ExploreError):
-        dup.audit(make_engine(COUNTER, "abstract"))
+    for engine in ENGINES:
+        ts, _ = run(COUNTER, engine=engine, max_depth=2)
+        dup = TransitionSystem(states={0: ts.states[0], 1: ts.states[0]})
+        with pytest.raises(ExploreError, match="stored states 0 and 1 coincide"):
+            dup.audit(make_engine(COUNTER, engine))
 
 
 # --- limits and modes -----------------------------------------------------

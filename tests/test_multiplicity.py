@@ -55,6 +55,8 @@ def test_values_are_interned():
     assert bounded(0, 1) is Multiplicity(0, 1) is ZERO_ONE
     assert all(Multiplicity(mu.lo, mu.hi) is mu for mu in BOUNDED)
     assert sorted(reversed(BOUNDED)) == list(BOUNDED)   # (lo, hi) order
+    with pytest.raises(TypeError):   # ordered among themselves only
+        ONE < 1
     for mu in BOUNDED:
         assert copy.copy(mu) is mu and copy.deepcopy(mu) is mu
         assert pickle.loads(pickle.dumps(mu)) is mu
@@ -109,6 +111,8 @@ def test_bounded_is_smallest_enclosing():
             got = bounded(lo, hi)
             reps_in = [k for k in REPS if lo <= k <= hi]
             assert got == smallest_enclosing(reps_in)
+    with pytest.raises(ValueError, match="empty interval"):
+        bounded(2, 1)
 
 
 # --- arithmetic -----------------------------------------------------------

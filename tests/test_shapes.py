@@ -120,7 +120,13 @@ def test_validate_rejects_broken_shapes():
             (Shape({0: ONE, 1: ONE}, {0: frozenset()}, edges, slots), "differ in nodes"),
             (Shape({0: ZERO, 1: ONE}, labels, edges, slots), "zero-population"),
             (Shape({0: ONE, 1: ONE}, labels, edges | {(0, at, 2)}, slots),
-             "not a binary edge between nodes")):
+             "not a binary edge between nodes"),
+            (Shape({0: ONE, 1: ONE}, labels, edges, {**slots, (2, "out", at, frozenset()): ONE}),
+             "lacks a support edge"),   # a slot on an unknown node
+            (Shape({0: ONE, 1: ONE}, labels, edges, {**slots, (0, "out", at, frozenset()): ZERO}),
+             "zero multiplicity"),
+            (Shape({0: ONE, 1: ONE}, labels, edges, {**slots, (0, "in", at, frozenset()): ONE}),
+             "lacks a support edge")):
         with pytest.raises(ShapeError, match=reason):
             broken.validate()
         assert "colours" not in vars(broken)   # validate caches no colouring

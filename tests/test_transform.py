@@ -76,6 +76,12 @@ def test_rule_role_validation():
         Rule("bad", {0: READER}, ((0, at, 1, READER),))
     with pytest.raises(RuleError):   # unary label between distinct nodes
         Rule("bad", {0: READER, 1: READER}, ((0, P, 1, READER),))
+    with pytest.raises(RuleError, match="rule without a name"):
+        Rule("", {0: READER}, ())
+    with pytest.raises(RuleError, match="bad node role 'keep'"):
+        Rule("bad", {0: "keep"}, ())
+    with pytest.raises(RuleError, match="bad edge role 'keep'"):
+        Rule("bad", {0: READER}, ((0, P, 0, "keep"),))
 
 
 # Edge role -> the node roles its two ends may have.
