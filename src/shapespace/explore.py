@@ -111,23 +111,23 @@ class ConcreteEngine:
 
     Matches whose images lie in the same twin classes (``twins``) differ
     by an automorphism of the state, so their successors are isomorphic:
-    the rule is applied once per such orbit, and that one ``Graph``,
-    which keeps its certificate once computed, is the target of every
-    match in the orbit, each under its own transition label."""
+    the rule is applied once per such orbit, and that one ``Graph`` is
+    the target of every match in the orbit, each under its own
+    transition label.  The store certifies a record once (``_Store``),
+    and ``labels`` keeps one object per distinct transition label."""
 
     bucket = None
 
     def __init__(self, grammar):
         self.grammar = grammar
+        self.labels = {}
 
     def start_state(self) -> Graph:
         return self.grammar.start
 
-    def identity(self, g: Graph) -> str:
-        # Kept on the record, beside its colours: a graph is certified once.
-        if "certificate" not in vars(g):
-            vars(g)["certificate"] = graph_certificate(g)
-        return vars(g)["certificate"]
+    @staticmethod
+    def identity(g: Graph) -> str:
+        return graph_certificate(g)
 
     def coincide(self, g: Graph, h: Graph) -> bool:
         return find_isomorphism(g, h) is not None
@@ -138,11 +138,12 @@ class ConcreteEngine:
         for rule in self.grammar.rules:
             made = {}   # orbit: the twin classes of the images -> successor
             for m in concrete_matches(rule, g):
-                label = tuple(m.items())
-                orbit = tuple(twin[x] for _, x in label)
+                label = (rule.name, tuple(m.items()))
+                label = self.labels.setdefault(label, label)
+                orbit = tuple(twin[x] for _, x in label[1])
                 if orbit not in made:
                     made[orbit] = concrete_apply(rule, m, g)
-                out.append(((rule.name, label), made[orbit]))
+                out.append((label, made[orbit]))
         return out
 
 
@@ -150,10 +151,12 @@ class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
     are keyed by the shape's canonical form; its labelling writes a
-    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``."""
+    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``.
+    ``labels`` keeps one object per distinct transition label."""
 
     def __init__(self, grammar):
         self.grammar = grammar
+        self.labels = {}
         for rule in grammar.rules:
             if rule.has_nac:
                 raise ExploreError(
@@ -179,6 +182,7 @@ class AbstractEngine:
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
                 label = (rule.name, tuple(m.items()))
+                label = self.labels.setdefault(label, label)
                 try:
                     mats = materialise(rule, m, s, neighbours)
                 except ShapeError as exc:
@@ -218,7 +222,10 @@ class _Store:
     """State store with the two freshness policies: ``live`` maps the
     exact record and the identity of each unmarked state to its id (a
     normal shape is both), and an identity is computed only on a miss of
-    the record; with subsumption on, ``buckets`` hold the unmarked
+    the record.  A duplicate found by its identity leaves its record in
+    ``live`` too, so an equal record later is found with no identity;
+    only the concrete engine's records differ from their identities, and
+    it marks no state.  With subsumption on, ``buckets`` hold the unmarked
     states, each bucket an antichain: a ``Frame``, made with the bucket,
     and its members, id -> coordinates.  The scan compares coordinates,
     with no isomorphism search.  The store is the one writer of
@@ -244,6 +251,8 @@ class _Store:
         i = self.live.get(state)
         if i is None and (key := self.engine.identity(state)) is not state:
             i = self.live.get(key)
+            if i is not None:   # remember the duplicate's record
+                self.live[state] = i
         if i is not None:
             return False, i, ()
         members, orbit = {}, [None]

@@ -20,7 +20,7 @@ isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class GraphError(ValueError):
@@ -136,34 +136,57 @@ def graph(nodes, edges=()) -> Graph:
 
 def _refine(colour: dict, near: dict) -> dict:
     """Refine ``colour`` until no cell splits.  A new colour is the rank
-    of a signature that leads with the old colour, so cells keep order."""
-    n, cells = len(colour), len(set(colour.values()))
+    of a signature that leads with the old colour, so cells keep order;
+    a one-node cell cannot split and takes its rank with no signature."""
+    n = len(colour)
     while True:
-        sig = {v: (c, tuple(sorted([t * n + colour[w] for t, w in near[v]])))
-               for v, c in colour.items()}
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        colour = {v: rank[s] for v, s in sig.items()}
-        if len(rank) == cells:
+        cells = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        new, base = {}, 0
+        for c in sorted(cells):
+            vs = cells[c]
+            if len(vs) == 1:
+                new[vs[0]] = base
+                base += 1
+                continue
+            sig = {v: tuple(sorted([t * n + colour[w] for t, w in near[v]])) for v in vs}
+            rank = {s: i for i, s in enumerate(sorted(set(sig.values())), base)}
+            new.update((v, rank[s]) for v, s in sig.items())
+            base += len(rank)
+        colour = {v: new[v] for v in colour}
+        if base == len(cells):
             return colour
-        cells = len(rank)
+
+
+@cache
+def _texts(ls) -> tuple:   # a label set's sort key
+    return tuple(sorted(l.text for l in ls))
+
+
+def _near(g: Labelled):
+    """Sorted binary label texts, and per node ``(2i or 2i + 1,
+    neighbour)`` pairs for its out- and in-edges with the i-th."""
+    tags = sorted({l.text for _, l, _ in g.edges})
+    code = {t: 2 * i for i, t in enumerate(tags)}
+    near = {v: [] for v in g.labels}
+    for (v, l, w) in g.edges:
+        near[v].append((code[l.text], w))
+        near[w].append((code[l.text] + 1, v))
+    return tags, near
 
 
 def _stable_colours(g: Labelled):
     """The stable colouring (refined once, then kept as ``g.colours``),
-    sorted unary label texts per node, sorted binary label texts, and
-    per node ``(2i or 2i + 1, neighbour)`` pairs."""
-    texts = {v: tuple(sorted(l.text for l in ls)) for v, ls in g.labels.items()}
-    code = {t: 2 * i for i, t in enumerate(sorted({l.text for _, l, _ in g.edges}))}
-    near = {v: [] for v in texts}
-    for (v, l, w) in g.edges:
-        near[v].append((code[l.text], w))
-        near[w].append((code[l.text] + 1, v))
+    sorted unary label texts per node, and ``_near``'s two values."""
+    texts = {v: _texts(ls) for v, ls in g.labels.items()}
+    tags, near = _near(g)
     colour = g.__dict__.get("colours")
     if colour is None:   # refine at most once per record
         order = sorted(set(texts.values()))
         colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
         g.__dict__["colours"] = colour
-    return colour, texts, list(code), near
+    return colour, texts, tags, near
 
 
 def canonical(g: Labelled):
@@ -223,7 +246,7 @@ def _twin_key(v, near) -> frozenset:
 def twins(g: Labelled) -> dict:
     """Node -> number of its twin class.  Twins have the same label set
     and the same labelled neighbours, so swapping two is an automorphism."""
-    classes, near = {}, _stable_colours(g)[3]
+    classes, near = {}, _near(g)[1]
     return {v: classes.setdefault((g.labels[v], _twin_key(v, near)), len(classes))
             for v in g.labels}
 

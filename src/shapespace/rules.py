@@ -131,11 +131,14 @@ def concrete_matches(rule: Rule, g: Graph):
 
 def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
     """SPO rewrite of ``g`` at match ``phi``: the rule's edit lists in
-    ``apply``'s order."""
+    ``apply``'s order.  A rule that creates, erases and relabels no node
+    shares ``g``'s ``labels`` dict."""
     phi = dict(phi)
     edges = g.edges.difference((phi[a], l, phi[b]) for (a, l, b) in rule.erase_edges)
     erased = {phi[a] for a in rule.erase_nodes}
-    labels = {v: ls for v, ls in g.labels.items() if v not in erased}
+    labels = g.labels
+    if erased or rule.new_nodes or rule.relabel:
+        labels = {v: ls for v, ls in labels.items() if v not in erased}
     edges = {e for e in edges if e[0] not in erased and e[2] not in erased}
     fresh = itertools.count(max(g.labels, default=-1) + 1)
     for a, ls in rule.new_nodes.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import Graph, Labelled, isomorphisms
+from .graphs import Graph, Labelled, _texts, isomorphisms
 from . import multiplicity as mult
 from .multiplicity import approx_card, subsumes
 
@@ -99,11 +99,6 @@ def _concrete(g: Graph) -> Shape:
     ends = neighbour_index(g.labels, g.edges)
     return Shape(dict.fromkeys(g.labels, mult.ONE), g.labels, g.edges,
                  {slot: approx_card(len(ws)) for slot, ws in ends.items()})
-
-
-@functools.cache
-def _texts(ls) -> tuple:   # a label set's sort key
-    return tuple(sorted(l.text for l in ls))
 
 
 def _signature_groups(s: Shape):

@@ -1,8 +1,8 @@
 """Shared test fixtures: deterministic random graph and grammar
 generation, the symmetric graph families, the brute-force morphism and
 isomorphism oracles, the capacity and count tests, the text-sorting
-normal form, the full-support reconcile and the concrete state space by
-definition."""
+normal form, the full-support reconcile, colour refinement and the
+concrete state space by definition."""
 
 import functools
 import random
@@ -171,6 +171,21 @@ def full_reconcile(s):
     for slot in support:
         slots.setdefault(slot, ONE_PLUS)
     return Shape(dict(s.node_mult), dict(s.labels), set(s.edges), slots)
+
+
+def reference_refine(colour: dict, near: dict) -> dict:
+    """Colour refinement by its definition: every round signs every
+    node, its old colour then its neighbours' sorted codes, and a new
+    colour is the rank of its signature, until no cell splits."""
+    n, cells = len(colour), len(set(colour.values()))
+    while True:
+        sig = {v: (c, tuple(sorted([t * n + colour[w] for t, w in near[v]])))
+               for v, c in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[s] for v, s in sig.items()}
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
 
 
 def cycles(*lengths, both_ways=False):

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -90,7 +91,9 @@ def test_concrete_engine_rewrites_once_per_orbit_and_certifies_once_per_record(
         monkeypatch):
     # firewall-6F to depth 8 (the benchmark's concrete workload): 5,892
     # matches fall into 4,252 twin orbits, and of those successor graphs
-    # only 2,103 are not equal, node ids included, to a stored state.
+    # only 1,533 are not equal, node ids included, to a record the store
+    # has met: 690 stored states and 843 dropped duplicates, whose
+    # records the store remembers (570 of them are met again).
     explore_module = importlib.import_module("shapespace.explore")
     calls = {"certificate": 0, "apply": 0}
     certify, rewrite = explore_module.graph_certificate, explore_module.concrete_apply
@@ -107,7 +110,33 @@ def test_concrete_engine_rewrites_once_per_orbit_and_certifies_once_per_record(
     monkeypatch.setattr(explore_module, "concrete_apply", counting_apply)
     _, stats = run(load_bundled("firewall-6F"), engine="concrete", max_depth=8)
     assert (stats.generated, stats.transitions_generated) == (690, 5892)
-    assert calls == {"certificate": 2103, "apply": 4252}
+    assert calls == {"certificate": 1533, "apply": 4252}
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_concrete_engine_certifies_no_record_twice(monkeypatch, name, strategy):
+    # The store remembers the record of every state it has met, stored
+    # or dropped as a duplicate, so an equal record is never certified
+    # again.
+    explore_module = importlib.import_module("shapespace.explore")
+    certified = Counter()
+    certify = explore_module.graph_certificate
+
+    def counting_certificate(g):
+        certified[frozenset(g.labels.items()), g.edges] += 1
+        return certify(g)
+
+    monkeypatch.setattr(explore_module, "graph_certificate", counting_certificate)
+    run(load_bundled(name), engine="concrete", strategy=strategy, max_depth=5)
+    assert certified and max(certified.values()) == 1
+
+
+@pytest.mark.parametrize("engine", ["concrete", "abstract"])
+def test_equal_transition_labels_are_one_object(engine):
+    ts, _ = run(FIREWALL3, engine=engine, max_depth=6)
+    labels = [label for _, label, _ in ts.transitions]
+    assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
 
 
 def test_abstract_engine_rejects_negative_conditions():

@@ -9,13 +9,15 @@ from collections import Counter
 import pytest
 
 from shapespace import (ExploreConfig, Graph, GraphError, Label, binary,
-                        canonical, certificate, explore, find_isomorphism,
-                        graph, isomorphisms, load_bundled, unary)
+                        bundled_grammar_names, canonical, certificate, explore,
+                        find_isomorphism, graph, isomorphisms, load_bundled,
+                        unary)
 from shapespace import graphs
 from shapespace.graphs import morphisms
 
 from conftest import (BINARY, UNARY, brute_force_isomorphism, cycles, inverse,
-                      is_morphism, permuted, random_graph, relabel, star, union)
+                      is_morphism, permuted, random_graph, reference_refine,
+                      relabel, star, union)
 
 A, B = UNARY
 e, f = BINARY
@@ -163,6 +165,50 @@ def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
         cert = certificate(g)
     assert len(calls) == 1
     assert colours == fresh.colours and cert == certificate(fresh)
+
+
+def test_refine_matches_the_oracle_that_signs_every_node():
+    # Random graphs of up to 12 nodes, a third of them 1-12 nodes in
+    # disjoint directed cycles (one colour class), each from a random
+    # dense colouring in a random node order: the cell-wise refinement
+    # gives the oracle's dict, colours and key order alike.
+    rng = random.Random(20)
+    for i in range(3000):
+        if i % 3:
+            g = random_graph(rng, max_nodes=12, edge_prob=rng.choice([0.1, 0.3]))
+        else:
+            n, lengths = rng.randint(1, 12), []
+            while sum(lengths) < n:
+                lengths.append(rng.randint(1, n - sum(lengths)))
+            g = permuted(rng, cycles(*lengths, both_ways=rng.random() < 0.3))
+        nodes = list(g.labels)
+        rng.shuffle(nodes)
+        k = rng.randint(1, max(len(nodes), 1))
+        drawn = {v: rng.randrange(k) for v in nodes}
+        dense = {c: k for k, c in enumerate(sorted(set(drawn.values())))}
+        colour = {v: dense[drawn[v]] for v in nodes}
+        near = graphs._near(g)[1]
+        got, want = graphs._refine(dict(colour), near), reference_refine(dict(colour), near)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("engine", ["concrete", "abstract"])
+def test_canonical_forms_match_the_refinement_oracle(monkeypatch, engine):
+    # On the stored states of the bundled grammars, the form and the
+    # labelling (with its key order) are those of the oracle refinement.
+    stored = []
+    for name in bundled_grammar_names():
+        ts, _ = explore(load_bundled(name), ExploreConfig(
+            engine=engine, max_depth=4, max_states=200))
+        stored += ts.states.values()
+
+    def forms():
+        return [(form, list(labelling.items())) for form, labelling in
+                (canonical(Graph(dict(s.labels), frozenset(s.edges))) for s in stored)]
+
+    new = forms()
+    monkeypatch.setattr(graphs, "_refine", reference_refine)
+    assert new == forms()
 
 
 def random_cycles(rng):

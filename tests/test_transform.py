@@ -136,6 +136,16 @@ def test_concrete_match_and_apply():
     assert (2, at, 1) in h.edges and (2, at, 0) not in h.edges
 
 
+def test_concrete_apply_shares_labels_only_when_no_node_changes():
+    # moving an edge keeps every node and label set: the successor shares
+    # the state's labels dict; creating a node gives it a dict of its own
+    g = world()
+    moved = concrete_apply(move_rule(), concrete_matches(move_rule(), g)[0], g)
+    grown = concrete_apply(new_packet_rule(), concrete_matches(new_packet_rule(), g)[0], g)
+    assert moved.labels is g.labels
+    assert grown.labels is not g.labels and len(g.labels) == 3
+
+
 def test_concrete_apply_creates_fresh_nodes():
     g = world()
     ms = concrete_matches(new_packet_rule(), g)
