@@ -3,12 +3,12 @@ neighbourhood shapes with subsumption pruning."""
 
 from .multiplicity import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
                            ZERO_ONE, ZERO_PLUS, Multiplicity, add,
-                           approx_card, bounded, from_text, positive_part,
-                           subsumes, subtract_one)
+                           approx_card, bounded, positive_part, subsumes,
+                           subtract_one)
 from .graphs import (Graph, GraphError, Label, binary, canonical, certificate,
                      find_isomorphism, graph, isomorphisms, unary)
 from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
-                     neighbour_index, neighbourhood_partition, normalise)
+                     neighbour_index, normalise)
 from .rules import (ApplyInfeasible, Rule, RuleError, apply, concrete_apply,
                     concrete_matches, materialise, prematch)
 from .explore import (CSV_HEADER, ExplorationStats, ExploreConfig,

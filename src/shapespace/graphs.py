@@ -111,6 +111,18 @@ class Graph(Labelled):
         return f"Graph({len(self.labels)} nodes, {len(self.edges)} edges)"
 
 
+def _unchecked(labels: dict, edges: frozenset) -> Graph:
+    """A ``Graph`` built without ``__post_init__``'s checks, for
+    ``rules.concrete_apply``: a validated ``Rule``'s edit lists create
+    only binary edges between kept or new nodes, add only unary labels
+    and drop every edge at an erased node, so they keep a graph valid."""
+    g = object.__new__(Graph)
+    # set as the frozen __init__ sets them, so they stay in a compact dict
+    object.__setattr__(g, "labels", labels)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def graph(nodes, edges=()) -> Graph:
     """The graph of ``nodes`` and ``edges``, where a unary label is
     written as a self-loop on the node that carries it."""
@@ -271,11 +283,23 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     recursion, so large patterns fit.  With the default candidates,
     nodes are placed in id order and images tried in ascending order,
     so the maps come sorted, each with its items in pattern-node order.
+
+    With the default candidates, a node joined by a pattern edge to an
+    earlier-placed node, its anchor, draws its images from the host
+    edges of that label and direction at the anchor's image, ascending:
+    exactly the ascending host nodes that pass that edge's check, so the
+    maps and their order are unchanged.  The index of those ends is
+    built per call.  Explicit candidates are tried as given.
     """
     want, have = pattern.labels, host.labels
+    anchors = {}   # node -> (earlier node, label, direction of its edges)
     if candidates is None:
         every = sorted(have)
         candidates = {v: every for v in want}
+        for (a, l, b) in sorted(pattern.edges, key=lambda e: (e[0], e[1].text, e[2])):
+            v, u = (a, b) if a > b else (b, a)
+            if a != b and v not in anchors:
+                anchors[v] = (u, l, "in" if v == a else "out")
     free = sorted(want, key=lambda v: (len(candidates[v]), v))
     if not free:
         yield {}
@@ -285,6 +309,13 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     for (v, l, w) in pattern.edges:
         checks[max(rank[v], rank[w])].append((v, l, w))
     edges = host.edges
+    ends = {}   # (host node, label, direction) -> the other ends, ascending
+    if anchors:
+        for (x, l, y) in edges:
+            ends.setdefault((x, l, "out"), []).append(y)
+            ends.setdefault((y, l, "in"), []).append(x)
+        for ys in ends.values():
+            ys.sort()
     mapping, used = {}, set()
     stack = [iter(candidates[free[0]])]
     while stack:
@@ -306,7 +337,12 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
         if i + 1 == len(free):
             yield dict(mapping)
         else:
-            stack.append(iter(candidates[free[i + 1]]))
+            u = free[i + 1]
+            if u in anchors:
+                w, l, d = anchors[u]
+                stack.append(iter(ends.get((mapping[w], l, d), ())))
+            else:
+                stack.append(iter(candidates[u]))
 
 
 def isomorphisms(g: Labelled, h: Labelled):

@@ -58,10 +58,6 @@ class Multiplicity:
             return NotImplemented
         return (self.lo, self.hi) < (other.lo, other.hi)
 
-    def contains(self, k) -> bool:
-        """Whether the natural (or omega) ``k`` lies in the interval."""
-        return self.lo <= k <= self.hi
-
     @property
     def is_concrete(self) -> bool:
         return self.lo == 1 and self.hi == 1
@@ -145,9 +141,3 @@ def positive_part(mu: Multiplicity) -> Multiplicity:
         raise ValueError(f"{mu.text()} has no positive values")
     return bounded(max(mu.lo, 1), mu.hi)
 
-
-def from_text(text: str) -> Multiplicity:
-    for m, t in _TEXT.items():
-        if t == text:
-            return m
-    raise ValueError(f"unknown multiplicity {text!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, graph, morphisms
+from .graphs import Graph, _unchecked, graph, morphisms
 from . import multiplicity as mult
 from .multiplicity import add, bounded, positive_part, subtract_one
 from .shapes import Shape, ShapeError, edge_slots, neighbour_index
@@ -132,22 +132,24 @@ def concrete_matches(rule: Rule, g: Graph):
 def concrete_apply(rule: Rule, phi: dict, g: Graph) -> Graph:
     """SPO rewrite of ``g`` at match ``phi``: the rule's edit lists in
     ``apply``'s order.  A rule that creates, erases and relabels no node
-    shares ``g``'s ``labels`` dict."""
+    shares ``g``'s ``labels`` dict.  The edit lists keep ``g`` valid, so
+    the successor is built unchecked (``graphs._unchecked``)."""
     phi = dict(phi)
     edges = g.edges.difference((phi[a], l, phi[b]) for (a, l, b) in rule.erase_edges)
     erased = {phi[a] for a in rule.erase_nodes}
     labels = g.labels
     if erased or rule.new_nodes or rule.relabel:
         labels = {v: ls for v, ls in labels.items() if v not in erased}
-    edges = {e for e in edges if e[0] not in erased and e[2] not in erased}
+    if erased:
+        edges = frozenset(e for e in edges if e[0] not in erased and e[2] not in erased)
     fresh = itertools.count(max(g.labels, default=-1) + 1)
     for a, ls in rule.new_nodes.items():
         phi[a] = next(fresh)
         labels[phi[a]] = ls
     for a, (removed, added) in rule.relabel.items():
         labels[phi[a]] = (labels[phi[a]] - removed) | added
-    edges.update((phi[a], l, phi[b]) for (a, l, b) in rule.create_edges)
-    return Graph(labels, frozenset(edges))
+    edges = edges.union((phi[a], l, phi[b]) for (a, l, b) in rule.create_edges)
+    return _unchecked(labels, edges)
 
 
 # --- abstract engine: prematch -------------------------------------------

@@ -58,28 +58,6 @@ class Shape(Labelled):
     def __hash__(self):
         return self._hash
 
-    def validate(self):
-        """Raise ShapeError when the shape invariants do not hold.  It
-        reads the four fields only and never caches ``colours``, which
-        would go stale on a branch that ``apply`` rewrites later."""
-        nodes = self.node_mult.keys()
-        if self.labels.keys() != nodes:
-            raise ShapeError("label map and node multiplicity map differ in nodes")
-        for v, m in self.node_mult.items():
-            if m == mult.ZERO:
-                raise ShapeError(f"zero-population node {v} present")
-        for (v, l, w) in self.edges:
-            if l.is_unary or v not in nodes or w not in nodes:
-                raise ShapeError(f"({v},{l},{w}) is not a binary edge between nodes")
-        support = neighbour_index(self.labels, self.edges).keys()
-        if not support <= self.slots.keys():
-            raise ShapeError("an edge lacks a slot multiplicity")
-        if not self.slots.keys() <= support:
-            raise ShapeError("a slot multiplicity lacks a support edge")
-        for (v, d, l, key), m in self.slots.items():
-            if m == mult.ZERO:
-                raise ShapeError(f"zero multiplicity stored for ({v},{d},{l},{set(key)})")
-
     def __repr__(self):
         return f"Shape({len(self.node_mult)} nodes, {len(self.edges)} edges)"
 
@@ -116,12 +94,6 @@ def _signature_groups(s: Shape):
         sig = _texts(s.labels[v]), tuple(sorted(outs)), tuple(sorted(ins))
         groups.setdefault(sig, []).append(v)
     return sorted(groups.items())
-
-
-def neighbourhood_partition(g: Graph):
-    """The radius-1 partition of ``g``'s nodes: the groups that
-    ``normalise`` folds in ``abstract(g)``, in signature order."""
-    return tuple(frozenset(grp) for _, grp in _signature_groups(_concrete(g)))
 
 
 def abstract(g: Graph) -> Shape:

@@ -1,6 +1,8 @@
 """Shared test fixtures: deterministic random graph and grammar
 generation, the symmetric graph families, the brute-force morphism and
-isomorphism oracles, the capacity and count tests, the text-sorting
+isomorphism oracles, the morphism search that tries every host node,
+the shape invariants, the multiplicity texts and membership, the
+radius-1 partition, the capacity and count tests, the text-sorting
 normal form, the full-support reconcile, colour refinement and the
 concrete state space by definition."""
 
@@ -11,11 +13,12 @@ from itertools import permutations
 
 import pytest
 
-from shapespace import (ONE_PLUS, ApplyInfeasible, Graph, GraphError, Label,
-                        Shape, add, binary, canonical, compare_shapes, graph,
-                        unary)
+from shapespace import (ONE_PLUS, ZERO, ApplyInfeasible, Graph, GraphError,
+                        Label, Shape, ShapeError, add, binary, canonical,
+                        compare_shapes, graph, unary)
+from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
-from shapespace.shapes import edge_slots, neighbour_index
+from shapespace.shapes import _concrete, _signature_groups, edge_slots, neighbour_index
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -158,6 +161,48 @@ def reference_normalise(s):
     return Shape(node_mult, labels, edges, slots)
 
 
+def validate(s):
+    """Raise ShapeError when the shape invariants do not hold.  It
+    reads the four fields only and never caches ``colours``, which
+    would go stale on a branch that ``apply`` rewrites later."""
+    nodes = s.node_mult.keys()
+    if s.labels.keys() != nodes:
+        raise ShapeError("label map and node multiplicity map differ in nodes")
+    for v, m in s.node_mult.items():
+        if m == ZERO:
+            raise ShapeError(f"zero-population node {v} present")
+    for (v, l, w) in s.edges:
+        if l.is_unary or v not in nodes or w not in nodes:
+            raise ShapeError(f"({v},{l},{w}) is not a binary edge between nodes")
+    support = neighbour_index(s.labels, s.edges).keys()
+    if not support <= s.slots.keys():
+        raise ShapeError("an edge lacks a slot multiplicity")
+    if not s.slots.keys() <= support:
+        raise ShapeError("a slot multiplicity lacks a support edge")
+    for (v, d, l, key), m in s.slots.items():
+        if m == ZERO:
+            raise ShapeError(f"zero multiplicity stored for ({v},{d},{l},{set(key)})")
+
+
+def from_text(text: str):
+    """The multiplicity written ``text`` (``Multiplicity.text``)."""
+    for m, t in _TEXT.items():
+        if t == text:
+            return m
+    raise ValueError(f"unknown multiplicity {text!r}")
+
+
+def contains(mu, k) -> bool:
+    """Whether the natural (or omega) ``k`` lies in ``mu``'s interval."""
+    return mu.lo <= k <= mu.hi
+
+
+def neighbourhood_partition(g):
+    """The radius-1 partition of ``g``'s nodes: the groups that
+    ``normalise`` folds in ``abstract(g)``, in signature order."""
+    return tuple(frozenset(grp) for _, grp in _signature_groups(_concrete(g)))
+
+
 def full_reconcile(s):
     """Step 6 of ``apply`` over every slot: a copy of ``s`` whose slot
     keys are exactly the supported ones.  An unsupported slot is dropped,
@@ -235,6 +280,48 @@ def inverse(phi: dict) -> dict:
     if len(set(phi.values())) != len(phi):
         raise GraphError("non-injective morphism has no inverse")
     return {w: v for v, w in phi.items()}
+
+
+def reference_morphisms(pattern, host, injective, candidates=None):
+    """``graphs.morphisms`` as it was before anchored candidates: every
+    node's images are drawn from its candidate list (every host node,
+    ascending, by default), and each pattern edge is checked once both
+    of its ends are placed."""
+    want, have = pattern.labels, host.labels
+    if candidates is None:
+        every = sorted(have)
+        candidates = {v: every for v in want}
+    free = sorted(want, key=lambda v: (len(candidates[v]), v))
+    if not free:
+        yield {}
+        return
+    rank = {v: i for i, v in enumerate(free)}
+    checks = [[] for _ in free]
+    for (v, l, w) in pattern.edges:
+        checks[max(rank[v], rank[w])].append((v, l, w))
+    edges = host.edges
+    mapping, used = {}, set()
+    stack = [iter(candidates[free[0]])]
+    while stack:
+        i = len(stack) - 1
+        v = free[i]
+        used.discard(mapping.pop(v, None))
+        for x in stack[i]:
+            if x in used or not want[v] <= have[x]:
+                continue
+            mapping[v] = x
+            if all((mapping[a], l, mapping[b]) in edges for (a, l, b) in checks[i]):
+                break
+            del mapping[v]
+        else:
+            stack.pop()
+            continue
+        if injective:
+            used.add(x)
+        if i + 1 == len(free):
+            yield dict(mapping)
+        else:
+            stack.append(iter(candidates[free[i + 1]]))
 
 
 def brute_force_isomorphism(g, h):

@@ -132,6 +132,25 @@ def test_concrete_engine_certifies_no_record_twice(monkeypatch, name, strategy):
     assert certified and max(certified.values()) == 1
 
 
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_concrete_successors_are_valid_graphs(monkeypatch, name):
+    # concrete_apply builds its successors unchecked; each must be the
+    # graph that the checking constructor builds from the same fields
+    explore_module = importlib.import_module("shapespace.explore")
+    rewrite, made = explore_module.concrete_apply, []
+
+    def recording_apply(*args):
+        made.append(rewrite(*args))
+        return made[-1]
+
+    monkeypatch.setattr(explore_module, "concrete_apply", recording_apply)
+    run(load_bundled(name), engine="concrete", strategy="bfs", max_depth=5)
+    assert made
+    for h in made:
+        assert type(h) is Graph and type(h.edges) is frozenset
+        assert h == Graph(h.labels, h.edges)
+
+
 @pytest.mark.parametrize("engine", ["concrete", "abstract"])
 def test_equal_transition_labels_are_one_object(engine):
     ts, _ = run(FIREWALL3, engine=engine, max_depth=6)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from shapespace import (ExploreConfig, Graph, GraphError, Label, binary,
+from shapespace import (ExploreConfig, Graph, GraphError, Label, abstract, binary,
                         bundled_grammar_names, canonical, certificate, explore,
                         find_isomorphism, graph, isomorphisms, load_bundled,
                         unary)
@@ -16,8 +16,8 @@ from shapespace import graphs
 from shapespace.graphs import morphisms
 
 from conftest import (BINARY, UNARY, brute_force_isomorphism, cycles, inverse,
-                      is_morphism, permuted, random_graph, reference_refine,
-                      relabel, star, union)
+                      is_morphism, permuted, random_graph, reference_morphisms,
+                      reference_refine, relabel, star, union)
 
 A, B = UNARY
 e, f = BINARY
@@ -119,6 +119,37 @@ def test_morphisms_agree_with_brute_force(injective):
         assert fast == brute_force_morphisms(pattern, host, injective, base, avoid)
         nonempty += bool(fast)
     assert nonempty >= 30
+
+
+# Patterns the anchored search must draw right: node 1 joins no earlier
+# node but node 2 joins both; two components; a binary self-loop; two
+# labels (and both directions) between one pair of nodes.
+ODD_PATTERNS = (graph([0, 1, 2], [(0, e, 2), (2, f, 1)]),
+                graph([0, 1, 2, 3], [(0, e, 1), (3, f, 2)]),
+                graph([0, 1], [(0, e, 0), (0, f, 1), (1, A, 1)]),
+                graph([0, 1], [(0, e, 1), (0, f, 1), (1, e, 0)]))
+
+
+@pytest.mark.parametrize("injective", [True, False])
+def test_morphisms_match_the_search_that_tries_every_host_node(injective):
+    # The same maps in the same order as the unanchored search, on graph
+    # hosts with scattered ids and on their shapes, with default
+    # candidates and with explicit ones in a random order.
+    rng = random.Random(20261019)
+    found = Counter()
+    for _ in range(250):
+        g = permuted(rng, random_graph(rng, max_nodes=7, edge_prob=0.35))
+        for host in (g, abstract(g)):
+            patterns = [random_graph(rng, max_nodes=4, edge_prob=0.25), *ODD_PATTERNS]
+            for pattern in patterns:
+                picks = {v: rng.sample(sorted(host.labels), rng.randint(0, len(host.labels)))
+                         for v in pattern.labels}
+                for candidates in (None, picks):
+                    maps = list(morphisms(pattern, host, injective, candidates))
+                    assert maps == list(reference_morphisms(pattern, host, injective,
+                                                            candidates))
+                    found[type(host).__name__, candidates is None] += len(maps)
+    assert min(found.values()) >= 100 and len(found) == 4
 
 
 # --- certificates ---------------------------------------------------------

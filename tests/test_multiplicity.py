@@ -15,19 +15,20 @@ import pytest
 
 from shapespace import (BOUNDED, OMEGA, ONE, ONE_PLUS, TWO_PLUS, ZERO,
                         ZERO_ONE, ZERO_PLUS, Multiplicity, add, approx_card,
-                        bounded, from_text, positive_part, subsumes,
-                        subtract_one)
+                        bounded, positive_part, subsumes, subtract_one)
+
+from conftest import contains, from_text
 
 REPS = list(range(11)) + [OMEGA]
 
 
 def members(mu):
-    return frozenset(k for k in REPS if mu.contains(k))
+    return frozenset(k for k in REPS if contains(mu, k))
 
 
 def smallest_enclosing(values):
     """Oracle: the least bounded value containing every given number."""
-    candidates = [b for b in BOUNDED if all(b.contains(v) for v in values)]
+    candidates = [b for b in BOUNDED if all(contains(b, v) for v in values)]
     assert candidates, f"no bounded value encloses {values}"
     best = min(candidates, key=lambda b: len(members(b)))
     # the least enclosing value must be unique by inclusion
@@ -81,8 +82,8 @@ def test_invalid_intervals_rejected():
 def test_concreteness_and_contains():
     assert ONE.is_concrete
     assert not ONE_PLUS.is_concrete
-    assert ZERO_PLUS.contains(0) and ZERO_PLUS.contains(7) and ZERO_PLUS.contains(OMEGA)
-    assert not ZERO_ONE.contains(2)
+    assert contains(ZERO_PLUS, 0) and contains(ZERO_PLUS, 7) and contains(ZERO_PLUS, OMEGA)
+    assert not contains(ZERO_ONE, 2)
 
 
 # --- approximation --------------------------------------------------------
@@ -128,7 +129,7 @@ def test_add_commutative_and_sound():
     for mu, nu in itertools.product(BOUNDED, repeat=2):
         assert add(mu, nu) == add(nu, mu)
         sums = {a + b for a, b in itertools.product(members(mu), members(nu))}
-        assert all(add(mu, nu).contains(v) for v in sums)
+        assert all(contains(add(mu, nu), v) for v in sums)
 
 
 def test_subtract_one_against_oracle():

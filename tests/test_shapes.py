@@ -11,12 +11,12 @@ from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         Graph, Shape, ShapeError, abstract, binary,
                         bundled_grammar_names, canonical, certificate,
                         compare_shapes, covered, explore, graph, isomorphisms,
-                        load_bundled, neighbourhood_partition, normalise,
-                        subsumes, unary)
+                        load_bundled, normalise, subsumes, unary)
 from shapespace.shapes import Frame, _concrete
 
-from conftest import (UNARY, cycles, permuted, random_graph, reference_normalise,
-                      shape_subsumes, slot_order, star, strictly_isomorphic)
+from conftest import (UNARY, cycles, neighbourhood_partition, permuted, random_graph,
+                      reference_normalise, shape_subsumes, slot_order, star,
+                      strictly_isomorphic, validate)
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")
@@ -106,14 +106,14 @@ def test_abstract_validates_and_is_stable(rng):
     for _ in range(200):
         g = random_graph(rng)
         s = abstract(g)
-        s.validate()
+        validate(s)
         assert strictly_isomorphic(s, abstract(permuted(rng, g)))
 
 
 def test_validate_rejects_broken_shapes():
     labels, edges = {0: frozenset(), 1: frozenset()}, {(0, at, 1)}
     slots = {(0, "out", at, frozenset()): ONE, (1, "in", at, frozenset()): ONE}
-    Shape({0: ONE, 1: ONE}, labels, edges, slots).validate()
+    validate(Shape({0: ONE, 1: ONE}, labels, edges, slots))
     for broken, reason in (
             (Shape({0: ONE, 1: ONE}, labels, edges, {}), "lacks a slot"),
             (Shape({0: ONE}, labels, edges, slots), "differ in nodes"),
@@ -128,7 +128,7 @@ def test_validate_rejects_broken_shapes():
             (Shape({0: ONE, 1: ONE}, labels, edges, {**slots, (0, "in", at, frozenset()): ONE}),
              "lacks a support edge")):
         with pytest.raises(ShapeError, match=reason):
-            broken.validate()
+            validate(broken)
         assert "colours" not in vars(broken)   # validate caches no colouring
 
 

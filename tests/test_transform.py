@@ -13,7 +13,8 @@ from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO_ONE, ZERO_PLUS,
                         prematch, unary)
 from shapespace import rules
 
-from conftest import full_reconcile, random_graph, strictly_isomorphic, within_capacity
+from conftest import (full_reconcile, random_graph, strictly_isomorphic, validate,
+                      within_capacity)
 
 L, O, I, P, Q, S, C, K, last = (unary(t) for t in
                                 ("L", "O", "I", "P", "Q", "S", "C", "K", "last"))
@@ -39,7 +40,7 @@ def concrete_shape(g):
                     [e for e in g.edges
                      if e[2] == v and e[1] == l and g.labels[e[0]] == g.labels[a]]))
     s = Shape(node_mult, dict(g.labels), g.edges, slots)
-    s.validate()
+    validate(s)
     return s
 
 
@@ -242,7 +243,7 @@ def test_materialise_rejects_a_shared_edge_beyond_its_slot():
     labels = {0: frozenset({L}), 1: frozenset({K})}
     s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(0, link, 1)},
               {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ZERO_ONE})
-    s.validate()
+    validate(s)
     ms = prematch(two_k_neighbours_rule(), s)
     assert ms
     for m in ms:
@@ -308,7 +309,7 @@ def test_materialise_drops_a_part_whose_matched_edges_exceed_its_slot():
     s = Shape({0: TWO_PLUS, 1: ONE, 2: ONE}, labels, {(0, link, 1), (0, link, 2)},
               {(0, "out", link, labels[1]): ONE, (1, "in", link, labels[0]): ONE_PLUS,
                (2, "in", link, labels[0]): ONE_PLUS})
-    s.validate()
+    validate(s)
     ms = prematch(two_k_neighbours_rule(), s)
     assert len(ms) == 4
     for m in ms:
@@ -324,7 +325,7 @@ def test_untouched_slot_supported_only_by_a_split_collector(monkeypatch):
     labels = {0: frozenset({L}), 1: frozenset({P})}
     s = Shape({0: ONE, 1: TWO_PLUS}, labels, {(1, at, 0)},
               {(1, "out", at, labels[0]): ZERO_ONE, (0, "in", at, labels[1]): ONE_PLUS})
-    s.validate()
+    validate(s)
     r = Rule("grab", {0: READER}, ((0, P, 0, READER),))
     (m,) = prematch(r, s)
     built = []
@@ -347,7 +348,7 @@ def test_unsplit_slot_keeps_its_capacity_when_a_neighbour_splits():
     s = Shape({0: ONE_PLUS, 1: ONE, 2: ONE}, labels, {(2, link, 0), (2, link, 1)},
               {(2, "out", link, labels[0]): TWO_PLUS, (1, "in", link, labels[2]): ONE,
                (0, "in", link, labels[2]): ZERO_PLUS})
-    s.validate()
+    validate(s)
     r = Rule("grab", {0: READER}, ((0, P, 0, READER),))
     m = next(m for m in prematch(r, s) if m[0] == 0)
     mats = materialise_at(r, m, s)
@@ -370,7 +371,7 @@ def test_remainder_slot_needs_the_capacity_of_its_support():
     labels = {0: frozenset({P}), 1: frozenset({K})}
     s = Shape({0: TWO_PLUS, 1: TWO_PLUS}, labels, {(0, link, 1)},
               {(0, "out", link, labels[1]): TWO_PLUS, (1, "in", link, labels[0]): ONE_PLUS})
-    s.validate()
+    validate(s)
     r = Rule("pick", {0: READER, 1: READER}, ((0, P, 0, READER), (1, K, 1, READER)))
     (m,) = prematch(r, s)
     mats = materialise_at(r, m, s)
@@ -428,7 +429,7 @@ def rewrite_steps(request):
 def valid_shape(branch):
     """Check the shape invariants of ``branch`` without caching its
     colours, which would go stale once ``apply`` rewrites the branch."""
-    branch.validate()
+    validate(branch)
     assert "colours" not in vars(branch)
 
 
@@ -456,7 +457,7 @@ def test_one_normalise_pass_reaches_the_fixpoint(rewrite_steps):
             assert t is branch
             once = normalise(t)
             valid_shape(t)    # slot keys are exactly the supported ones,
-            once.validate()   # which subsumption's slot-wise check needs
+            validate(once)   # which subsumption's slot-wise check needs
             merged += len(once.node_mult) < len(t.node_mult)
             assert normalise(once) == once
     assert merged >= 30
@@ -528,7 +529,7 @@ def test_apply_lowers_only_the_lower_bound_next_to_a_collector():
                    {(x1, "out", l, labels[w]): ONE,
                     (x2, "out", l, labels[w]): ONE,
                     (w, "in", l, labels[x1]): ONE})
-    branch.validate()
+    validate(branch)
     erase = Rule("erase", {0: ERASER}, ((0, X, 0, ERASER),))
     t = apply(erase, branch, {0: x1})
     valid_shape(t)
@@ -550,7 +551,7 @@ def test_apply_relabel_moves_one_bound_next_to_a_collector():
                    {(x1, "out", l, labels[w]): ONE,
                     (x2, "out", l, labels[w]): ONE,
                     (w, "in", l, labels[x1]): ONE})
-    branch.validate()
+    validate(branch)
     flip = Rule("flip", {0: READER}, ((0, X, 0, ERASER), (0, Y, 0, CREATOR)))
     t = apply(flip, branch, {0: x1})
     valid_shape(t)
