@@ -15,7 +15,7 @@ import math
 import resource
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
@@ -54,24 +54,23 @@ class ExploreConfig:
 
 @dataclass
 class ExplorationStats:
-    grammar: str = ""
-    engine: str = "abstract"
-    strategy: str = "bfs"
-    subsumption: bool = True
-    mode: str = "full"
+    """The run's record; its fields, in order, are the CSV columns."""
+
+    grammar: str
+    engine: str
+    strategy: str
+    subsumption: bool
+    mode: str
     maximum: int | None = None
     generated: int = 0
     subsumed: int = 0
+    relevant: int = 0
     discarded: int = 0
     transitions_generated: int = 0
     transitions_relevant: int = 0
     time_ms: int = 0
     peak_mem_bytes: int = 0
     complete: bool = True
-
-    @property
-    def relevant(self) -> int:
-        return self.generated - self.subsumed
 
 
 @dataclass
@@ -113,14 +112,12 @@ class ConcreteEngine:
     by an automorphism of the state, so their successors are isomorphic:
     the rule is applied once per such orbit, and that one ``Graph`` is
     the target of every match in the orbit, each under its own
-    transition label.  The store certifies a record once (``_Store``),
-    and ``labels`` keeps one object per distinct transition label."""
+    transition label.  The store certifies a record once (``_Store``)."""
 
     bucket = None
 
     def __init__(self, grammar):
         self.grammar = grammar
-        self.labels = {}
 
     def start_state(self) -> Graph:
         return self.grammar.start
@@ -139,7 +136,6 @@ class ConcreteEngine:
             made = {}   # orbit: the twin classes of the images -> successor
             for m in concrete_matches(rule, g):
                 label = (rule.name, tuple(m.items()))
-                label = self.labels.setdefault(label, label)
                 orbit = tuple(twin[x] for _, x in label[1])
                 if orbit not in made:
                     made[orbit] = concrete_apply(rule, m, g)
@@ -151,12 +147,10 @@ class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
     are keyed by the shape's canonical form; its labelling writes a
-    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``.
-    ``labels`` keeps one object per distinct transition label."""
+    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``."""
 
     def __init__(self, grammar):
         self.grammar = grammar
-        self.labels = {}
         for rule in grammar.rules:
             if rule.has_nac:
                 raise ExploreError(
@@ -182,7 +176,6 @@ class AbstractEngine:
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
                 label = (rule.name, tuple(m.items()))
-                label = self.labels.setdefault(label, label)
                 try:
                     mats = materialise(rule, m, s, neighbours)
                 except ShapeError as exc:
@@ -290,8 +283,8 @@ def explore(grammar, config: ExploreConfig):
     """Explore ``grammar``'s state space; returns (TransitionSystem, stats).
 
     The store writes ``ts.states`` and ``ts.marked``, the loop writes
-    ``ts.transitions``.  ``waiting`` maps each state still to expand to
-    its depth; the frontier keeps their order."""
+    ``ts.transitions`` and ``stats``.  ``waiting`` maps each state still
+    to expand to its depth; the frontier keeps their order."""
     t0 = time.perf_counter()
     engine = make_engine(grammar, config.engine)
     stats = ExplorationStats(grammar=grammar.name, engine=config.engine,
@@ -304,6 +297,7 @@ def explore(grammar, config: ExploreConfig):
 
     frontier = deque([ts.start])
     waiting = {ts.start: 0}
+    labels = {}   # one object per distinct label of a stored transition
     complete = True
 
     while frontier:
@@ -323,7 +317,7 @@ def explore(grammar, config: ExploreConfig):
             stats.transitions_generated += 1
             was_fresh, j, below = store.add(succ)
             if config.mode == "full":
-                ts.transitions.add((i, label, j))
+                ts.transitions.add((i, labels.setdefault(label, label), j))
             if was_fresh:
                 stats.generated += 1
                 waiting[j] = d + 1
@@ -334,6 +328,7 @@ def explore(grammar, config: ExploreConfig):
 
     if not config.subsumption:
         stats.maximum = stats.generated
+    stats.relevant = stats.generated - stats.subsumed
     stats.transitions_relevant = sum(
         1 for (src, _, _) in ts.transitions if src not in ts.marked)
     stats.complete = complete
@@ -344,9 +339,7 @@ def explore(grammar, config: ExploreConfig):
 
 # --- reporting ------------------------------------------------------------
 
-CSV_HEADER = ("grammar,engine,strategy,subsumption,mode,maximum,generated,"
-              "subsumed,relevant,discarded,transitions_generated,"
-              "transitions_relevant,time_ms,peak_mem_bytes,complete")
+CSV_HEADER = ",".join(f.name for f in fields(ExplorationStats))
 
 
 # Boolean columns, written off/on and false/true.

@@ -2,13 +2,13 @@
 generation, the symmetric graph families, the brute-force morphism and
 isomorphism oracles, the morphism search that tries every host node,
 the shape invariants, the multiplicity texts and membership, the
-radius-1 partition, the capacity and count tests, the text-sorting
-normal form, the full-support reconcile, colour refinement and the
-concrete state space by definition."""
+radius-1 partition, the concretisation (gamma) oracle, the capacity and
+count tests, the text-sorting normal form, the full-support reconcile,
+colour refinement and the concrete state space by definition."""
 
 import functools
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations
 
 import pytest
@@ -16,6 +16,7 @@ import pytest
 from shapespace import (ONE_PLUS, ZERO, ApplyInfeasible, Graph, GraphError,
                         Label, Shape, ShapeError, add, binary, canonical,
                         compare_shapes, graph, unary)
+from shapespace.graphs import morphisms
 from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
 from shapespace.shapes import _concrete, _signature_groups, edge_slots, neighbour_index
@@ -201,6 +202,29 @@ def neighbourhood_partition(g):
     """The radius-1 partition of ``g``'s nodes: the groups that
     ``normalise`` folds in ``abstract(g)``, in signature order."""
     return tuple(frozenset(grp) for _, grp in _signature_groups(_concrete(g)))
+
+
+def concretises(g, s):
+    """The maps that witness ``g`` in gamma(``s``): node maps of ``g``
+    into ``s`` that keep label sets exactly and send every edge to an
+    edge, under which every shape node's population lies in its
+    ``node_mult``, and every concrete node's edge count per slot key lies
+    in its image's slot (a missing slot is 0).  Edges need not be hit."""
+    same = {}
+    for x in sorted(s.labels):
+        same.setdefault(s.labels[x], []).append(x)
+    candidates = {v: same.get(ls, []) for v, ls in g.labels.items()}
+    ends = neighbour_index(g.labels, g.edges)   # a slot's count is its number of ends
+    own = {x: [] for x in s.node_mult}
+    for (x, *key), mu in s.slots.items():
+        own[x].append((key, mu))
+    for pi in morphisms(g, s, injective=False, candidates=candidates):
+        population = Counter(pi.values())
+        if (all(contains(mu, population[x]) for x, mu in s.node_mult.items())
+                and all((pi[v], *key) in s.slots for (v, *key) in ends)
+                and all(contains(mu, len(ends.get((v, *key), ())))
+                        for v in g.labels for key, mu in own[pi[v]])):
+            yield pi
 
 
 def full_reconcile(s):

@@ -1,5 +1,6 @@
 """The exploration loop: freshness, statistics, strategies, modes."""
 
+import functools
 import importlib
 import itertools
 from collections import Counter
@@ -7,13 +8,14 @@ from collections import Counter
 import pytest
 
 from shapespace import (ExploreConfig, ExploreError, Graph, TransitionSystem,
-                        bundled_grammar_names, certificate, compare_shapes,
+                        abstract, bundled_grammar_names, certificate,
+                        compare_shapes, concrete_apply, concrete_matches,
                         covered, explore, load_bundled, parse_grammar,
                         stats_report)
 from shapespace.explore import ENGINES, make_engine
 
-from conftest import (random_grammar_text, reference_concrete, strictly_isomorphic,
-                      within_capacity, within_count)
+from conftest import (concretises, random_grammar_text, reference_concrete,
+                      strictly_isomorphic, within_capacity, within_count)
 
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
@@ -330,6 +332,84 @@ def test_abstract_states_cover_concrete_reachables():
         assert covered(g, shapes)
 
 
+# Soundness of a complete abstract run rests on two facts, checked here
+# against the concrete graphs reachable within these depths: (a)
+# subsumption is gamma-inclusion, and (b) every concrete step from a
+# graph in gamma of an expanded state is simulated by a stored transition.
+GAMMA_DEPTHS = {"counter": 6, "linked-list": 6, "firewall-2": 5, "firewall-3": 4,
+                "circ-buf-0": 6}
+
+
+def in_gamma(g, s) -> bool:
+    return next(concretises(g, s), None) is not None
+
+
+@functools.cache
+def concrete_steps(name):
+    """The concrete graphs reachable within ``GAMMA_DEPTHS[name]``, each
+    with its steps ``(rule, match, successor)``."""
+    grammar = load_bundled(name)
+    ts, _ = run(grammar, engine="concrete", max_depth=GAMMA_DEPTHS[name])
+    return [(g, [(rule, m, concrete_apply(rule, m, g)) for rule in grammar.rules
+                 for m in concrete_matches(rule, g)])
+            for g in ts.states.values()]
+
+
+@pytest.mark.parametrize("name", GAMMA_DEPTHS)
+def test_subsumption_is_gamma_inclusion_on_concrete_reachables(name):
+    pairs = 0
+    for strategy in ("bfs", "dfs"):
+        ts, st = run(load_bundled(name), strategy=strategy)
+        assert st.complete
+        for g, _ in concrete_steps(name):
+            s = abstract(g)
+            for t in ts.states.values():
+                if compare_shapes(s, t)[0] is not None:
+                    assert in_gamma(g, t)
+                    pairs += 1
+    assert pairs >= len(concrete_steps(name))
+
+
+def unsimulated(name, **config):
+    """The concrete steps ``g --(r, m)--> h`` from a graph ``g`` in gamma
+    of a relevant state ``S``, witnessed by ``pi``, that no stored
+    transition ``S --(r, pi . m)--> T`` with ``h`` in gamma(``T``)
+    simulates; and how many triples (step, state, map) were checked."""
+    ts, st = run(load_bundled(name), **config)
+    assert st.complete
+    targets = {}
+    for (i, label, j) in ts.transitions:
+        targets.setdefault((i, label), []).append(ts.states[j])
+    failures, checked = [], 0
+    for i in ts.relevant_states():
+        for g, steps in concrete_steps(name):
+            for pi in concretises(g, ts.states[i]):
+                for rule, m, h in steps:
+                    label = (rule.name, tuple((a, pi[x]) for a, x in m.items()))
+                    if not any(in_gamma(h, t) for t in targets.get((i, label), ())):
+                        failures.append((i, label))
+                    checked += 1
+    return failures, checked
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", GAMMA_DEPTHS)
+def test_abstract_steps_simulate_concrete_steps(name, strategy, subsumption):
+    failures, checked = unsimulated(name, strategy=strategy, subsumption=subsumption)
+    assert failures == [] and checked >= len(concrete_steps(name))
+
+
+@pytest.mark.parametrize("name", ["firewall-2", "firewall-3"])
+def test_simulation_check_kills_the_first_branch_mutant(name, monkeypatch):
+    explore_module = importlib.import_module("shapespace.explore")
+    materialise = explore_module.materialise
+    monkeypatch.setattr(explore_module, "materialise",
+                        lambda *args: materialise(*args)[:1])
+    failures, _ = unsimulated(name, strategy="bfs", subsumption=False)
+    assert failures
+
+
 MARK = parse_grammar("""
 label L unary
 label M unary
@@ -368,6 +448,16 @@ def test_relabel_next_to_unmatched_collector_is_covered():
         shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
         for g in concrete_ts.states.values():
             assert covered(g, shapes)
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+def test_relabel_next_to_unmatched_collector_keeps_every_graph_in_gamma(subsumption):
+    concrete_ts, _ = run(MARK, engine="concrete")
+    assert len(concrete_ts.states) == 6
+    abstract_ts, _ = run(MARK, engine="abstract", subsumption=subsumption)
+    shapes = [abstract_ts.states[i] for i in abstract_ts.relevant_states()]
+    assert all(any(in_gamma(g, s) for s in shapes) for g in concrete_ts.states.values())
+    assert sum(covered(g, shapes) for g in concrete_ts.states.values()) == 2
 
 
 LOOP = parse_grammar("""

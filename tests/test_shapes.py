@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,11 +13,11 @@ from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         bundled_grammar_names, canonical, certificate,
                         compare_shapes, covered, explore, graph, isomorphisms,
                         load_bundled, normalise, subsumes, unary)
-from shapespace.shapes import Frame, _concrete
+from shapespace.shapes import Frame, _concrete, neighbour_index
 
-from conftest import (UNARY, cycles, neighbourhood_partition, permuted, random_graph,
-                      reference_normalise, shape_subsumes, slot_order, star,
-                      strictly_isomorphic, validate)
+from conftest import (UNARY, concretises, cycles, neighbourhood_partition, permuted,
+                      random_graph, reference_normalise, shape_subsumes, slot_order,
+                      star, strictly_isomorphic, validate)
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")
@@ -380,3 +381,34 @@ def test_covered_by_wider_shape(rng):
     for _ in range(50):
         g = random_graph(rng)
         assert covered(g, [relaxed(rng, abstract(g))])
+
+
+# --- concretisation -------------------------------------------------------
+
+
+def narrowed(rng, g, s, pi):
+    """A copy of ``s`` with one node or slot multiplicity replaced by a
+    value that excludes ``g``'s true count there under the map ``pi``."""
+    key = rng.choice([*s.node_mult, *s.slots])
+    if key in s.node_mult:
+        true = {Counter(pi.values())[key]}
+    else:
+        ends = neighbour_index(g.labels, g.edges)
+        true = {len(ends.get((v, *key[1:]), ())) for v in pi if pi[v] == key[0]}
+    value = TWO_PLUS if true == {1} else ONE
+    node_mult, slots = dict(s.node_mult), dict(s.slots)
+    (node_mult if key in node_mult else slots)[key] = value
+    return Shape(node_mult, dict(s.labels), s.edges, slots)
+
+
+def test_graph_lies_in_gamma_of_its_abstraction_and_not_of_a_narrowed_copy(rng):
+    narrowings = 0
+    for _ in range(500):
+        g = random_graph(rng)
+        s = abstract(g)
+        pi = next(concretises(g, s), None)
+        assert pi is not None
+        if s.node_mult:
+            assert next(concretises(g, narrowed(rng, g, s, pi)), None) is None
+            narrowings += 1
+    assert narrowings >= 400
