@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dot import shape_dot, transition_system_dot
-from .explore import ENGINES, ExploreConfig, ExploreError, explore, stats_report
+from .explore import SETTINGS, ExploreConfig, ExploreError, explore, stats_report
 from .grammar import GrammarError, load_bundled, parse_grammar
 from .shapes import abstract
 
@@ -41,16 +41,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="run the exploration loop")
     ex.add_argument("grammar", help="grammar file (or bundled grammar name)")
-    ex.add_argument("--engine", choices=ENGINES, default="abstract")
-    ex.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs")
-    ex.add_argument("--subsumption", choices=("on", "off"), default="on")
-    ex.add_argument("--mode", choices=("full", "reach"), default="full")
-    ex.add_argument("--max-states", type=int, default=None, metavar="N")
-    ex.add_argument("--max-depth", type=int, default=None, metavar="N",
+    # The settings' choices and defaults are those of explore.py.
+    ex.add_argument("--engine", choices=SETTINGS["engine"], default=ExploreConfig.engine)
+    ex.add_argument("--strategy", choices=SETTINGS["strategy"],
+                    default=ExploreConfig.strategy)
+    ex.add_argument("--subsumption", choices=("on", "off"),
+                    default="on" if ExploreConfig.subsumption else "off")
+    ex.add_argument("--mode", choices=SETTINGS["mode"], default=ExploreConfig.mode)
+    ex.add_argument("--max-states", type=int, metavar="N")
+    ex.add_argument("--max-depth", type=int, metavar="N",
                     help="do not expand states beyond this depth")
-    ex.add_argument("--timeout", type=float, default=None, metavar="SECS")
-    ex.add_argument("--stats-csv", default=None, metavar="PATH")
-    ex.add_argument("--dot", default=None, metavar="PATH",
+    ex.add_argument("--timeout", type=float, metavar="SECS")
+    ex.add_argument("--stats-csv", metavar="PATH")
+    ex.add_argument("--dot", metavar="PATH",
                     help="write the transition system as DOT")
 
     ab = sub.add_parser("abstract", help="print the start graph's shape as DOT")
@@ -90,19 +93,14 @@ def cli_main(argv=None) -> int:
                                mode=args.mode, max_states=args.max_states,
                                max_depth=args.max_depth, timeout=args.timeout)
         ts, stats = explore(grammar, config)
-    except ExploreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    print(stats_report(stats, "table"), end="")
-    try:
+        print(stats_report(stats, "table"), end="")
         if args.stats_csv:
             Path(args.stats_csv).write_text(stats_report(stats, "csv"),
                                             encoding="utf-8")
         if args.dot:
             Path(args.dot).write_text(transition_system_dot(ts, name=grammar.name),
                                       encoding="utf-8")
-    except OSError as exc:
+    except (ExploreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if stats.complete else 2

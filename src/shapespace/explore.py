@@ -10,12 +10,13 @@ transitions are stored and subsumed states are evicted from the store.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import resource
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
@@ -31,21 +32,18 @@ class ExploreError(ValueError):
 
 @dataclass
 class ExploreConfig:
-    engine: str = "abstract"       # a key of ``ENGINES``
-    strategy: str = "bfs"          # "bfs" | "dfs"
+    engine: str = "abstract"       # each setting takes a value of ``SETTINGS``
+    strategy: str = "bfs"
     subsumption: bool = True
-    mode: str = "full"             # "full" | "reach"
+    mode: str = "full"
     max_states: int | None = None
     max_depth: int | None = None
     timeout: float | None = None   # seconds
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ExploreError(f"unknown engine {self.engine!r}")
-        if self.strategy not in ("bfs", "dfs"):
-            raise ExploreError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in ("full", "reach"):
-            raise ExploreError(f"unknown mode {self.mode!r}")
+        for name, values in SETTINGS.items():
+            if getattr(self, name) not in values:
+                raise ExploreError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("max_states", "max_depth", "timeout"):
             value = getattr(self, name)
             if value is not None and not value >= 0:   # NaN too
@@ -201,6 +199,10 @@ def _abstractness(s: Shape) -> int:
 
 ENGINES = {"abstract": AbstractEngine, "concrete": ConcreteEngine}
 
+# The run settings, in CSV order, with the values ``ExploreConfig`` accepts.
+SETTINGS = {"engine": tuple(ENGINES), "strategy": ("bfs", "dfs"),
+            "subsumption": (False, True), "mode": ("full", "reach")}
+
 
 def make_engine(grammar, name: str):
     if name not in ENGINES:
@@ -287,9 +289,8 @@ def explore(grammar, config: ExploreConfig):
     to expand to its depth; the frontier keeps their order."""
     t0 = time.perf_counter()
     engine = make_engine(grammar, config.engine)
-    stats = ExplorationStats(grammar=grammar.name, engine=config.engine,
-                             strategy=config.strategy,
-                             subsumption=config.subsumption, mode=config.mode)
+    stats = ExplorationStats(grammar.name,
+                             **{name: getattr(config, name) for name in SETTINGS})
     ts = TransitionSystem()
     store = _Store(engine, config, ts)
     store.add(engine.start_state())
@@ -340,26 +341,20 @@ def explore(grammar, config: ExploreConfig):
 # --- reporting ------------------------------------------------------------
 
 CSV_HEADER = ",".join(f.name for f in fields(ExplorationStats))
-
-
-# Boolean columns, written off/on and false/true.
-_SWITCHES = {"subsumption": ("off", "on"), "complete": ("false", "true")}
-
-
-def stats_row(stats: ExplorationStats) -> str:
-    cells = []
-    for name in CSV_HEADER.split(","):
-        value = getattr(stats, name)
-        cells.append(_SWITCHES[name][value] if name in _SWITCHES
-                     else "" if value is None else str(value))
-    return ",".join(cells)
+_SWITCHES = {"subsumption": ("off", "on"), "complete": ("false", "true")}   # booleans
 
 
 def stats_report(stats: ExplorationStats, format: str = "table") -> str:
-    if format == "csv":
-        return CSV_HEADER + "\n" + stats_row(stats) + "\n"
+    """The run's record as (column, cell) pairs, written as CSV or as a table."""
+    cells = [(name, _SWITCHES[name][value] if name in _SWITCHES
+              else "" if value is None else str(value))
+             for name, value in zip(CSV_HEADER.split(","), astuple(stats))]
+    if format == "csv":   # a cell is quoted only where CSV requires it
+        import csv   # here, since it adds about 5 % to importing the package
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(zip(*cells))
+        return out.getvalue()
     if format == "table":
-        pairs = list(zip(CSV_HEADER.split(","), stats_row(stats).split(",")))
-        width = max(len(k) for k, _ in pairs)
-        return "\n".join(f"{k.ljust(width)}  {v or '-'}" for k, v in pairs) + "\n"
+        width = max(len(k) for k, _ in cells)
+        return "\n".join(f"{k.ljust(width)}  {v or '-'}" for k, v in cells) + "\n"
     raise ExploreError(f"unknown report format {format!r}")

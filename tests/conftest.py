@@ -2,20 +2,23 @@
 generation, the symmetric graph families, the brute-force morphism and
 isomorphism oracles, the morphism search that tries every host node,
 the shape invariants, the multiplicity texts and membership, the
-radius-1 partition, the concretisation (gamma) oracle, the capacity and
-count tests, the text-sorting normal form, the full-support reconcile,
-colour refinement and the concrete state space by definition."""
+radius-1 partition, the concretisation (gamma) oracle, bounded
+concretisations and narrowed copies of a shape, the capacity and count
+tests, the text-sorting normal form, the full-support reconcile, colour
+refinement, the concrete state space by definition and seeded mutants."""
 
 import functools
+import importlib
+import inspect
 import random
 from collections import Counter, deque
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from shapespace import (ONE_PLUS, ZERO, ApplyInfeasible, Graph, GraphError,
-                        Label, Shape, ShapeError, add, binary, canonical,
-                        compare_shapes, graph, unary)
+from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ApplyInfeasible, Graph,
+                        GraphError, Label, Shape, ShapeError, add, binary,
+                        canonical, compare_shapes, graph, unary)
 from shapespace.graphs import morphisms
 from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
@@ -225,6 +228,86 @@ def concretises(g, s):
                 and all(contains(mu, len(ends.get((v, *key), ())))
                         for v in g.labels for key, mu in own[pi[v]])):
             yield pi
+
+
+def bounded_concretisations(s, limit=20):
+    """Up to ``limit`` graphs in gamma(``s``).  Each shape node ``x`` gets
+    ``lo`` to ``min(hi, lo + 1)`` copies of its ``node_mult``; the edges
+    among the copies of each shape edge are chosen by backtracking, each
+    copy's edge count per slot kept at most the slot's ``hi`` and, at the
+    leaf, at least its ``lo``."""
+    nodes = sorted(s.node_mult)
+    sizes = [range(s.node_mult[x].lo, min(s.node_mult[x].hi, s.node_mult[x].lo + 1) + 1)
+             for x in nodes]
+    found = 0
+    for size in product(*sizes):
+        copies, labels = {}, {}
+        for x, k in zip(nodes, size):
+            copies[x] = range(len(labels), len(labels) + k)
+            labels.update((a, s.labels[x]) for a in copies[x])
+        bound = {(a, tuple(rest)): mu   # a copy's counter per slot -> the slot
+                 for (x, *rest), mu in s.slots.items() for a in copies[x]}
+        options = []   # (concrete edge, the counters it adds to)
+        for (x, l, y) in sorted(s.edges, key=lambda e: (e[0], e[1].text, e[2])):
+            out, into = edge_slots(s.labels, x, l, y)
+            options += [((a, l, b), ((a, out[1:]), (b, into[1:])))
+                        for a in copies[x] for b in copies[y]]
+        count, left, chosen = Counter(), Counter(c for _, cs in options for c in cs), []
+
+        def choose(i):
+            if i == len(options):
+                if all(count[c] >= mu.lo for c, mu in bound.items()):
+                    yield Graph(dict(labels), frozenset(chosen))
+                return
+            e, cs = options[i]
+            for c in cs:
+                left[c] -= 1
+            if all(count[c] < bound[c].hi for c in cs):   # take the edge
+                count.update(cs)
+                chosen.append(e)
+                yield from choose(i + 1)
+                chosen.pop()
+                count.subtract(cs)
+            if all(count[c] + left[c] >= bound[c].lo for c in cs):   # leave it out
+                yield from choose(i + 1)
+            left.update(cs)
+
+        if all(left[c] >= mu.lo for c, mu in bound.items()):
+            for g in choose(0):
+                assert next(concretises(g, s), None) is not None
+                yield g
+                found += 1
+                if found == limit:
+                    return
+
+
+def narrowed(rng, g, s, pi):
+    """A copy of ``s`` with one node or slot multiplicity replaced by a
+    value that excludes ``g``'s true count there under the map ``pi``."""
+    key = rng.choice([*s.node_mult, *s.slots])
+    if key in s.node_mult:
+        true = {Counter(pi.values())[key]}
+    else:
+        ends = neighbour_index(g.labels, g.edges)
+        true = {len(ends.get((v, *key[1:]), ())) for v in pi if pi[v] == key[0]}
+    value = TWO_PLUS if true == {1} else ONE
+    node_mult, slots = dict(s.node_mult), dict(s.slots)
+    (node_mult if key in node_mult else slots)[key] = value
+    return Shape(node_mult, dict(s.labels), s.edges, slots)
+
+
+def mutant(module, function, old, new):
+    """``function`` of ``shapespace.<module>``, compiled from a copy of
+    the module's source in which the one occurrence of ``old`` is
+    ``new``; every other name it reads is the module's own."""
+    original = importlib.import_module(f"shapespace.{module}")
+    source = inspect.getsource(original)
+    assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times"
+    scope = {"__name__": original.__name__, "__package__": original.__package__}
+    exec(compile(source.replace(old, new), original.__file__, "exec"), scope)
+    mutated = scope[function]
+    scope.update((k, v) for k, v in vars(original).items() if k != function)
+    return mutated
 
 
 def full_reconcile(s):

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, flags, exit codes, outputs."""
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -152,3 +153,15 @@ def test_explore_concrete_many_twins(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "generated" in out and "complete" in out
     assert out.splitlines()[-1].split() == ["complete", "true"]
+
+
+def test_grammar_name_with_a_comma_is_one_cell(tmp_path, capsys):
+    # With no grammar line the name is the file's stem, here "a,b".
+    path = tmp_path / "a,b.gg"
+    path.write_text("label P unary\ngraph\n  node a P\nrule r\n  use node x P\n")
+    out = tmp_path / "stats.csv"
+    assert cli_main(["explore", str(path), "--stats-csv", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [15, 15] and rows[1][0] == "a,b"
+    assert capsys.readouterr().out.splitlines()[0].split() == ["grammar", "a,b"]

@@ -3,8 +3,8 @@
 import re
 from collections import Counter
 
-from shapespace import (ExploreConfig, binary, explore, graph, graph_dot,
-                        load_bundled, transition_system_dot, unary)
+from shapespace import (ExploreConfig, abstract, binary, explore, graph, graph_dot,
+                        load_bundled, shape_dot, transition_system_dot, unary)
 
 
 def test_transition_system_dot_dashes_marked_states_and_draws_every_transition():
@@ -35,4 +35,16 @@ def test_graph_dot_writes_every_label_and_edge():
         '  n0 -> n1 [label="e"];',
         '  n1 -> n2 [label="e"];',
         '  n2 -> n2 [label="e"];',
+        "}"]
+
+
+def test_shape_dot_draws_collectors_bold_and_both_slots_on_each_edge():
+    L, P, at = unary("L"), unary("P"), binary("at")
+    g = graph([0, 1, 2], [(0, L, 0), (1, P, 1), (2, P, 2), (1, at, 0), (2, at, 0)])
+    assert shape_dot(abstract(g), name="two").splitlines() == [
+        'digraph "two" {',
+        "  node [shape=ellipse];",
+        '  n0 [label="L : 1"];',
+        '  n1 [label="P : 2+", style=bold, peripheries=2];',
+        '  n1 -> n0 [label="at [1|2+]"];',   # [out-slot|in-slot]
         "}"]

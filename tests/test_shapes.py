@@ -4,7 +4,6 @@ import dataclasses
 import importlib
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -13,11 +12,11 @@ from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         bundled_grammar_names, canonical, certificate,
                         compare_shapes, covered, explore, graph, isomorphisms,
                         load_bundled, normalise, subsumes, unary)
-from shapespace.shapes import Frame, _concrete, neighbour_index
+from shapespace.shapes import Frame, _concrete
 
-from conftest import (UNARY, concretises, cycles, neighbourhood_partition, permuted,
-                      random_graph, reference_normalise, shape_subsumes, slot_order,
-                      star, strictly_isomorphic, validate)
+from conftest import (UNARY, concretises, cycles, narrowed, neighbourhood_partition,
+                      permuted, random_graph, reference_normalise, shape_subsumes,
+                      slot_order, star, strictly_isomorphic, validate)
 
 L, I, O, P, C, last = (unary(t) for t in ("L", "I", "O", "P", "C", "last"))
 at, n = binary("at"), binary("n")
@@ -384,21 +383,6 @@ def test_covered_by_wider_shape(rng):
 
 
 # --- concretisation -------------------------------------------------------
-
-
-def narrowed(rng, g, s, pi):
-    """A copy of ``s`` with one node or slot multiplicity replaced by a
-    value that excludes ``g``'s true count there under the map ``pi``."""
-    key = rng.choice([*s.node_mult, *s.slots])
-    if key in s.node_mult:
-        true = {Counter(pi.values())[key]}
-    else:
-        ends = neighbour_index(g.labels, g.edges)
-        true = {len(ends.get((v, *key[1:]), ())) for v in pi if pi[v] == key[0]}
-    value = TWO_PLUS if true == {1} else ONE
-    node_mult, slots = dict(s.node_mult), dict(s.slots)
-    (node_mult if key in node_mult else slots)[key] = value
-    return Shape(node_mult, dict(s.labels), s.edges, slots)
 
 
 def test_graph_lies_in_gamma_of_its_abstraction_and_not_of_a_narrowed_copy(rng):
