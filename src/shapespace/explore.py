@@ -10,9 +10,7 @@ transitions are stored and subsumed states are evicted from the store.
 
 from __future__ import annotations
 
-import io
 import itertools
-import math
 import resource
 import time
 from collections import deque
@@ -20,6 +18,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
+from .multiplicity import ONE_PLUS, TWO_PLUS, ZERO_PLUS
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
                     materialise, prematch)
 from .shapes import (Frame, Shape, ShapeError, abstract, compare_shapes,
@@ -170,12 +169,12 @@ class AbstractEngine:
 
     def successors(self, s: Shape):
         out = []
-        neighbours = neighbour_index(s.labels, s.edges)
+        neighbours, made = neighbour_index(s.labels, s.edges), {}   # one per state
         for rule in self.grammar.rules:
             for m in prematch(rule, s):
                 label = (rule.name, tuple(m.items()))
                 try:
-                    mats = materialise(rule, m, s, neighbours)
+                    mats = materialise(rule, m, s, neighbours, made)
                 except ShapeError as exc:
                     raise ExploreError(f"rule {rule.name!r}: {exc}") from None
                 for branch, match in mats:
@@ -193,10 +192,10 @@ class AbstractEngine:
 
 def _abstractness(s: Shape) -> int:
     """How many multiplicity entries of the shape are unbounded."""
-    entries = [*s.node_mult.values(), *s.slots.values()]
-    return sum(1 for m in entries if math.isinf(m.hi))
+    return sum(map(_UNBOUNDED.__contains__, [*s.node_mult.values(), *s.slots.values()]))
 
 
+_UNBOUNDED = {ZERO_PLUS, ONE_PLUS, TWO_PLUS}   # the values with no upper bound
 ENGINES = {"abstract": AbstractEngine, "concrete": ConcreteEngine}
 
 # The run settings, in CSV order, with the values ``ExploreConfig`` accepts.
@@ -349,11 +348,9 @@ def stats_report(stats: ExplorationStats, format: str = "table") -> str:
     cells = [(name, _SWITCHES[name][value] if name in _SWITCHES
               else "" if value is None else str(value))
              for name, value in zip(CSV_HEADER.split(","), astuple(stats))]
-    if format == "csv":   # a cell is quoted only where CSV requires it
-        import csv   # here, since it adds about 5 % to importing the package
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(zip(*cells))
-        return out.getvalue()
+    if format == "csv":   # a cell is quoted only where it holds a comma, a quote, a CR or a LF
+        row = [v if {*v}.isdisjoint(',"\r\n') else '"%s"' % v.replace('"', '""') for _, v in cells]
+        return f"{CSV_HEADER}\n{','.join(row)}\n"
     if format == "table":
         width = max(len(k) for k, _ in cells)
         return "\n".join(f"{k.ljust(width)}  {v or '-'}" for k, v in cells) + "\n"

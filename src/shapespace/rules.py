@@ -165,7 +165,7 @@ def prematch(rule: Rule, s: Shape):
 # --- abstract engine: materialise ----------------------------------------
 
 
-def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
+def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict, made: dict):
     """Pull concrete copies of the match image out of collector elements.
 
     Each non-concrete node in the image is split into one concrete part
@@ -174,8 +174,13 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
     adjacency of the split-off nodes distributes, so that every
     concretisation of ``s`` in which ``phi`` extends to an injective
     concrete match is covered by some returned branch.  Each entry is a
-    ``(Shape, match)`` pair; every branch shares the one concrete match.
+    new ``(Shape, match)`` pair; every branch shares the one concrete match.
     ``neighbours`` is ``neighbour_index`` of ``s``, built once per state.
+
+    The branches depend on the match only through its split (the split
+    nodes in node order, each with its part count) and its pins (the
+    matched edges at the parts).  ``made``, one dict per state, maps each
+    pair met to its branches' fields, so each pair is enumerated once.
 
     It alone rejects a match, with no branch, at two gates: a node has
     more LHS nodes on it than its multiplicity allows, or a slot of an
@@ -219,78 +224,83 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict):
         labels, {(assign[x], l, assign[y]) for (x, l, y) in rule.lhs.edges})
     if any(len(ws) > s.slots[slot].hi for slot, ws in pinned.items() if slot[0] in s.node_mult):
         return []
-    own = {u: [] for u in parts}   # split node -> its slots, in slot order
-    kept, near = {}, []   # other nodes' slots: with no split neighbour, or with one
-    for slot, mu in s.slots.items():
-        if slot[0] in own:
-            own[slot[0]].append((*slot[1:], mu))
-        elif neighbours[slot].isdisjoint(own):
-            kept[slot] = mu
-        else:   # with the capacity of its unsplit neighbours
-            near.append((slot, mu, sum(s.node_mult[w].hi for w in neighbours[slot] - own.keys())))
-    kept_edges = frozenset(e for e in s.edges if e[0] not in parts and e[2] not in parts)
+    split = (tuple((u, len(ps)) for u, (ps, _) in parts.items()),   # the split and its pins
+             frozenset((slot, frozenset(ws)) for slot, ws in pinned.items()
+                       if slot[0] not in s.node_mult))
+    if split not in made:
+        own = {u: [] for u in parts}   # split node -> its slots, in slot order
+        kept, near = {}, []   # other nodes' slots: with no split neighbour, or with one
+        for slot, mu in s.slots.items():
+            if slot[0] in own:
+                own[slot[0]].append((*slot[1:], mu))
+            elif neighbours[slot].isdisjoint(own):
+                kept[slot] = mu
+            else:   # with the capacity of its unsplit neighbours
+                near.append((slot, mu, sum(s.node_mult[w].hi
+                                           for w in neighbours[slot] - own.keys())))
+        kept_edges = frozenset(e for e in s.edges if e[0] not in parts and e[2] not in parts)
 
-    out = []
-    for combo in itertools.product(*remainders):
-        node_mult = {x: mu for x, mu in s.node_mult.items() if x not in parts}
-        members = {x: [x] for x in node_mult}
-        for (u, (ps, r)), rem in zip(parts.items(), combo):
-            members[u] = ps if rem is None else [*ps, r]
-            node_mult.update((p, mult.ONE if p != r else rem) for p in members[u])
+        out = []
+        for combo in itertools.product(*remainders):
+            node_mult = {x: mu for x, mu in s.node_mult.items() if x not in parts}
+            members = {x: [x] for x in node_mult}
+            for (u, (ps, r)), rem in zip(parts.items(), combo):
+                members[u] = ps if rem is None else [*ps, r]
+                node_mult.update((p, mult.ONE if p != r else rem) for p in members[u])
 
-        axes = []        # per slot of a split-off node: (part, direction, label, key, options)
-        index = {}       # axis key -> its position
-        links = []       # per axis: (split-off node, its earlier reciprocal axis)
-        for u, entries in own.items():
-            for p in members[u]:
-                for (d, l, key, mu) in entries:
-                    fixed = frozenset(pinned.get((p, d, l, key), ()))
-                    universe = {y for w in neighbours.get((u, d, l, key), ())
-                                for y in members[w]}
-                    links.append([(q, index[q, _BACK[d], l, labels[p]]) for q in universe
-                                  if (q, _BACK[d], l, labels[p]) in index])
-                    index[p, d, l, key] = len(axes)
-                    axes.append((p, d, l, key, _slot_options(
-                        mu, fixed, sorted(universe - fixed), p == parts[u][1], node_mult)))
-        if not all(axis[4] for axis in axes):
-            continue
-        sides = []       # per near slot: (hi, reciprocal axis) of its split-off neighbours
-        checks = [[] for _ in axes]   # per axis: (node, capacity lacking, side) to test once set
-        for (v, d, l, key), mu, cap in near:
-            sides.append([(node_mult[p].hi, index[p, _BACK[d], l, labels[v]])
-                          for w in neighbours[v, d, l, key] if w in parts for p in members[w]])
-            if mu.lo > cap:
-                checks[max(j for _, j in sides[-1])].append((v, mu.lo - cap, sides[-1]))
+            axes = []        # per slot of a split-off node: (part, direction, label, key, options)
+            index = {}       # axis key -> its position
+            links = []       # per axis: (split-off node, its earlier reciprocal axis)
+            for u, entries in own.items():
+                for p in members[u]:
+                    for (d, l, key, mu) in entries:
+                        fixed = frozenset(pinned.get((p, d, l, key), ()))
+                        universe = {y for w in neighbours.get((u, d, l, key), ())
+                                    for y in members[w]}
+                        links.append([(q, index[q, _BACK[d], l, labels[p]]) for q in universe
+                                      if (q, _BACK[d], l, labels[p]) in index])
+                        index[p, d, l, key] = len(axes)
+                        axes.append((p, d, l, key, _slot_options(
+                            mu, fixed, sorted(universe - fixed), p == parts[u][1], node_mult)))
+            if not all(axis[4] for axis in axes):
+                continue
+            sides = []       # per near slot: (hi, reciprocal axis) of its split-off neighbours
+            checks = [[] for _ in axes]   # per axis: (node, capacity lacking, side): test once set
+            for (v, d, l, key), mu, cap in near:
+                sides.append([(node_mult[p].hi, index[p, _BACK[d], l, labels[v]])
+                              for w in neighbours[v, d, l, key] if w in parts for p in members[w]])
+                if mu.lo > cap:
+                    checks[max(j for _, j in sides[-1])].append((v, mu.lo - cap, sides[-1]))
 
-        def search(i):   # depth first from axis i; yields once per leaf
-            if i == len(axes):
-                yield
-                return
-            p = axes[i][0]
-            for option in axes[i][4]:
-                if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
-                    continue
-                chosen[i] = option
-                if all(sum(hi for hi, j in side if v in chosen[j][1]) >= lack
-                       for v, lack, side in checks[i]):
-                    yield from search(i + 1)
+            def search(i):   # depth first from axis i; yields once per leaf
+                if i == len(axes):
+                    yield
+                    return
+                p = axes[i][0]
+                for option in axes[i][4]:
+                    if any((q in option[1]) != (p in chosen[j][1]) for q, j in links[i]):
+                        continue
+                    chosen[i] = option
+                    if all(sum(hi for hi, j in side if v in chosen[j][1]) >= lack
+                           for v, lack, side in checks[i]):
+                        yield from search(i + 1)
 
-        chosen = [None] * len(axes)
-        for _ in search(0):
-            slots = dict(kept)
-            edges = set(kept_edges)
-            for (p, d, l, key, _), (val, support) in zip(axes, chosen):
-                if val is not None:
-                    slots[p, d, l, key] = val
-                edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
-            slots.update((slot, mu) for (slot, mu, cap), side in zip(near, sides)   # capacity > 0
-                         if cap or any(slot[0] in chosen[j][1] for _, j in side))
-            out.append((Shape(dict(node_mult), {x: labels[x] for x in node_mult},
-                              edges, slots), assign))
-            if len(out) > MAX_BRANCHES:
-                raise ShapeError("materialisation branch explosion "
-                                 f"(over {MAX_BRANCHES} branches)")
-    return out
+            chosen = [None] * len(axes)
+            for _ in search(0):
+                slots = dict(kept)
+                edges = set(kept_edges)
+                for (p, d, l, key, _), (val, support) in zip(axes, chosen):
+                    if val is not None:
+                        slots[p, d, l, key] = val
+                    edges.update((p, l, w) if d == "out" else (w, l, p) for w in support)
+                slots.update((slot, mu) for (slot, mu, cap), side in zip(near, sides)   # cap > 0
+                             if cap or any(slot[0] in chosen[j][1] for _, j in side))
+                out.append((dict(node_mult), {x: labels[x] for x in node_mult}, edges, slots))
+                if len(out) > MAX_BRANCHES:
+                    raise ShapeError("materialisation branch explosion "
+                                     f"(over {MAX_BRANCHES} branches)")
+        made[split] = out
+    return [(Shape(dict(n), dict(ls), set(es), dict(ss)), assign) for n, ls, es, ss in made[split]]
 
 
 def _slot_options(mu, fixed, extras, is_rem, node_mult):

@@ -165,3 +165,15 @@ def test_grammar_name_with_a_comma_is_one_cell(tmp_path, capsys):
         rows = list(csv.reader(f))
     assert [len(row) for row in rows] == [15, 15] and rows[1][0] == "a,b"
     assert capsys.readouterr().out.splitlines()[0].split() == ["grammar", "a,b"]
+
+
+def test_grammar_name_with_a_carriage_return_is_one_cell(tmp_path):
+    # csv.writer before Python 3.13 leaves such a cell unquoted, and the
+    # row then reads back as two.
+    path = tmp_path / "c\rd.gg"
+    path.write_text("label P unary\ngraph\n  node a P\nrule r\n  use node x P\n")
+    out = tmp_path / "stats.csv"
+    assert cli_main(["explore", str(path), "--stats-csv", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [15, 15] and rows[1][0] == "c\rd"

@@ -213,7 +213,7 @@ def test_prematch_allows_noninjective_on_collectors():
 
 
 def materialise_at(rule, m, s):
-    return materialise(rule, m, s, neighbour_index(s.labels, s.edges))
+    return materialise(rule, m, s, neighbour_index(s.labels, s.edges), {})
 
 
 def test_materialise_respects_node_multiplicity_bound():
