@@ -8,7 +8,7 @@ from .explore import TransitionSystem
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace('"', r'\"') + '"'
+    return '"' + text.replace('\\', '\\\\').replace('"', r'\"') + '"'
 
 
 def graph_dot(g: Graph, name: str = "G") -> str:

@@ -144,10 +144,14 @@ class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
     are keyed by the shape's canonical form; its labelling writes a
-    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``."""
+    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``.
+    ``canonical`` and ``prematch`` read only a shape's graph (``_graph``),
+    which many shapes share: the engine certifies and prematches each
+    graph once per run, and keeps the results in ``forms`` and ``matches``."""
 
     def __init__(self, grammar):
         self.grammar = grammar
+        self.forms, self.matches = {}, {}   # graph -> (form, labelling) / match lists
         for rule in grammar.rules:
             if rule.has_nac:
                 raise ExploreError(
@@ -162,7 +166,9 @@ class AbstractEngine:
         return s
 
     def bucket(self, s: Shape):
-        return canonical(s)
+        if (key := _graph(s)) not in self.forms:
+            self.forms[key] = canonical(s)
+        return self.forms[key]
 
     def coincide(self, s: Shape, t: Shape) -> bool:   # subsumed both ways
         return None not in compare_shapes(s, t)
@@ -170,8 +176,10 @@ class AbstractEngine:
     def successors(self, s: Shape):
         out = []
         neighbours, made = neighbour_index(s.labels, s.edges), {}   # one per state
-        for rule in self.grammar.rules:
-            for m in prematch(rule, s):
+        if (key := _graph(s)) not in self.matches:
+            self.matches[key] = [prematch(rule, s) for rule in self.grammar.rules]
+        for rule, ms in zip(self.grammar.rules, self.matches[key]):
+            for m in ms:
                 label = (rule.name, tuple(m.items()))
                 try:
                     mats = materialise(rule, m, s, neighbours, made)
@@ -188,6 +196,11 @@ class AbstractEngine:
         # subsuming fixpoint states early and prunes harder.
         out.sort(key=lambda p: _abstractness(p[1]))
         return out
+
+
+def _graph(s: Shape):
+    """A normal shape's graph: labels (stored in node order) and edges."""
+    return frozenset(s.labels.items()), s.edges
 
 
 def _abstractness(s: Shape) -> int:
@@ -220,7 +233,8 @@ class _Store:
     ``live`` too, so an equal record later is found with no identity;
     only the concrete engine's records differ from their identities, and
     it marks no state.  With subsumption on, ``buckets`` hold the unmarked
-    states, each bucket an antichain: a ``Frame``, made with the bucket,
+    states by their bucket key (``engine.bucket``, memoised by the shape's
+    graph), each bucket an antichain: a ``Frame``, made with the bucket,
     and its members, id -> coordinates.  The scan compares coordinates,
     with no isomorphism search.  The store is the one writer of
     ``ts.states`` and ``ts.marked``: it numbers fresh states from 0 and

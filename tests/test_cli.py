@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, flags, exit codes, outputs."""
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -177,3 +178,18 @@ def test_grammar_name_with_a_carriage_return_is_one_cell(tmp_path):
     with open(out, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     assert [len(row) for row in rows] == [15, 15] and rows[1][0] == "c\rd"
+
+
+def test_grammar_name_with_a_backslash_stays_a_dot_string(tmp_path, capsys):
+    # The name is the file's stem, "a\"; unescaped, its backslash would
+    # escape the closing quote and leave the string open.
+    path = tmp_path / "a\\.gg"
+    path.write_text("label P unary\ngraph\n  node a P\nrule r\n  use node x P\n")
+    out = tmp_path / "lts.dot"
+    assert cli_main(["explore", str(path), "--dot", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["abstract", str(path)]) == 0
+    for text in (out.read_text(encoding="utf-8"), capsys.readouterr().out):
+        lines = text.splitlines()
+        assert lines[0] == r'digraph "a\\" {'
+        assert all('"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line) for line in lines)

@@ -38,6 +38,13 @@ def test_graph_dot_writes_every_label_and_edge():
         "}"]
 
 
+def test_names_escape_backslashes_then_quotes_and_keep_other_bytes():
+    g = graph([0], [])
+    assert graph_dot(g, name='a\\b"c').splitlines()[0] == r'digraph "a\\b\"c" {'
+    assert graph_dot(g, name="a\\").splitlines()[0] == r'digraph "a\\" {'
+    assert graph_dot(g, name="fw-2 é,\tx").splitlines()[0] == 'digraph "fw-2 é,\tx" {'
+
+
 def test_shape_dot_draws_collectors_bold_and_both_slots_on_each_edge():
     L, P, at = unary("L"), unary("P"), binary("at")
     g = graph([0, 1, 2], [(0, L, 0), (1, P, 1), (2, P, 2), (1, at, 0), (2, at, 0)])

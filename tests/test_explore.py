@@ -11,7 +11,7 @@ import pytest
 
 from shapespace import (ApplyInfeasible, ExploreConfig, ExploreError, Graph,
                         TransitionSystem, abstract, apply, bundled_grammar_names,
-                        certificate, compare_shapes, concrete_apply,
+                        canonical, certificate, compare_shapes, concrete_apply,
                         concrete_matches, covered, explore, load_bundled,
                         neighbour_index, parse_grammar, prematch, stats_report)
 from shapespace.explore import CSV_HEADER, ENGINES, SETTINGS, make_engine
@@ -649,6 +649,95 @@ def test_abstract_engine_enumerates_once_per_split_and_pins(monkeypatch):
     assert sum(map(len, dicts.values())) == 366
 
 
+# --- one certificate and one match search per graph ------------------------
+
+
+def memo_changes_nothing(grammar, **config):
+    """In an abstract run of ``grammar``, every bucket key the engine
+    returns equals a fresh ``canonical`` of the shape, and every expanded
+    state's matches, rule by rule and in order, are those of a fresh
+    ``prematch``: the engine's memo of both by the shape's graph changes
+    no call.  The run stops at the first call that differs."""
+    explore_module = importlib.import_module("shapespace.explore")
+    engine = explore_module.AbstractEngine
+    bucket, successors = engine.bucket, engine.successors
+    materialise = explore_module.materialise
+    expected, checked = [], Counter()
+
+    class Differs(Exception):
+        pass
+
+    def checked_bucket(self, s):
+        key = bucket(self, s)
+        if key != canonical(s):
+            raise Differs
+        checked["bucket"] += 1
+        return key
+
+    def checked_successors(self, s):
+        expected[:] = reversed([(rule, m) for rule in grammar.rules for m in prematch(rule, s)])
+        out = successors(self, s)
+        if expected:
+            raise Differs
+        checked["successors"] += 1
+        return out
+
+    def checked_materialise(rule, m, s, neighbours, made):
+        if not expected or expected.pop() != (rule, m):
+            raise Differs
+        return materialise(rule, m, s, neighbours, made)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "bucket", checked_bucket)
+        patch.setattr(engine, "successors", checked_successors)
+        patch.setattr(explore_module, "materialise", checked_materialise)
+        try:
+            run(grammar, engine="abstract", **config)
+        except Differs:
+            return False
+    assert checked["bucket"] and checked["successors"]
+    return True
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_memo_of_bucket_keys_and_matches_changes_no_call(name, strategy):
+    assert memo_changes_nothing(load_bundled(name), strategy=strategy, subsumption=True,
+                                max_states=150)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 87])
+def test_memo_of_bucket_keys_and_matches_changes_no_call_on_random_grammars(seed):
+    text = random_grammar_text(seed)
+    assert memo_changes_nothing(parse_grammar(text), subsumption=True, max_depth=3,
+                                max_states=400), text
+
+
+def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
+    # firewall-4, dfs, subsumption on (the benchmark's headline workload):
+    # the store looks up 1,008 bucket keys of shapes over 40 graphs, and
+    # the 162 expanded states, with 5 rules each, make 810 (rule, state)
+    # searches over 200 (rule, graph) pairs.
+    explore_module = importlib.import_module("shapespace.explore")
+    counts = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    for name in ("canonical", "prematch"):
+        monkeypatch.setattr(explore_module, name, counting(name, getattr(explore_module, name)))
+    for name in ("bucket", "successors"):
+        monkeypatch.setattr(explore_module.AbstractEngine, name,
+                            counting(name, getattr(explore_module.AbstractEngine, name)))
+    grammar = load_bundled("firewall-4")
+    _, stats = run(grammar, strategy="dfs", subsumption=True)
+    assert (stats.generated, stats.subsumed) == (267, 132) and len(grammar.rules) == 5
+    assert counts == {"bucket": 1008, "canonical": 40, "successors": 162, "prematch": 200}
+
+
 # --- seeded mutants -------------------------------------------------------
 
 # A mutant replaces the one occurrence of a snippet in a function of the
@@ -664,6 +753,9 @@ NO_CAPACITY_CHECK = ("rules", "materialise", "if mu.lo > cap:", "if False:")
 KEY_WITHOUT_PINS = ("rules", "materialise", "if slot[0] not in s.node_mult))", "if False))")
 KEY_WITHOUT_PART_COUNTS = ("rules", "materialise",
                            "tuple((u, len(ps)) for u, (ps, _) in parts.items())", "tuple(parts)")
+GRAPH_WITHOUT_EDGES = ("explore", "_graph", "frozenset(s.labels.items()), s.edges",
+                       "frozenset(s.labels.items())")
+GRAPH_WITHOUT_LABELS = ("explore", "_graph", "frozenset(s.labels.items()), s.edges", "s.edges")
 
 
 def simulated(name):
@@ -707,6 +799,12 @@ MUTANTS = {
     "materialise-key-without-part-counts-seed-1": (KEY_WITHOUT_PART_COUNTS, functools.partial(
         sharing_changes_nothing, parse_grammar(random_grammar_text(1)), subsumption=False,
         max_depth=3)),
+    # on firewall-2, two label maps and two edge sets are each shared by
+    # different graphs among the bucket lookups
+    "memo-key-without-edges-firewall-2": (GRAPH_WITHOUT_EDGES, functools.partial(
+        memo_changes_nothing, FIREWALL2, strategy="bfs", subsumption=True)),
+    "memo-key-without-labels-firewall-2": (GRAPH_WITHOUT_LABELS, functools.partial(
+        memo_changes_nothing, FIREWALL2, strategy="bfs", subsumption=True)),
 }
 
 
