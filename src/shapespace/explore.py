@@ -22,7 +22,7 @@ from .multiplicity import ONE_PLUS, TWO_PLUS, ZERO_PLUS
 from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
                     materialise, prematch)
 from .shapes import (Frame, Shape, ShapeError, abstract, compare_shapes,
-                     neighbour_index, normalise)
+                     neighbour_index, normalise, signatures)
 
 
 class ExploreError(ValueError):
@@ -174,7 +174,7 @@ class AbstractEngine:
         return None not in compare_shapes(s, t)
 
     def successors(self, s: Shape):
-        out = []
+        out, signed = [], signatures(s)   # the table that normalise reuses, per state
         neighbours, made = neighbour_index(s.labels, s.edges), {}   # one per state
         if (key := _graph(s)) not in self.matches:
             self.matches[key] = [prematch(rule, s) for rule in self.grammar.rules]
@@ -190,7 +190,7 @@ class AbstractEngine:
                         t = apply(rule, branch, match)
                     except ApplyInfeasible:
                         continue
-                    out.append((label, normalise(t)))
+                    out.append((label, normalise(t, signed)))
         # Canonical order: least abstract first.  The DFS stack then
         # pops the most abstract successor first, which reaches the
         # subsuming fixpoint states early and prunes harder.

@@ -42,7 +42,8 @@ class Shape(Labelled):
     ``materialise`` builds shapes that ``apply`` rewrites in place;
     ``normalise`` returns shapes that are immutable by convention and
     hash by all four fields.  Normal shapes are strictly isomorphic
-    exactly when equal, and keep their slots in slot order (``normalise``).
+    exactly when equal, and keep their slots in slot order: ``normalise``
+    copies such a row as stored from the state's ``signatures`` table.
     """
 
     node_mult: dict   # node -> multiplicity
@@ -79,21 +80,27 @@ def _concrete(g: Graph) -> Shape:
                  {slot: approx_card(len(ws)) for slot, ws in ends.items()})
 
 
-def _signature_groups(s: Shape):
-    """``(signature, nodes)`` pairs of ``s`` in signature order.
+def _rows(s: Shape) -> dict:
+    """Node -> its slot items, in stored order."""
+    rows = {v: [] for v in s.node_mult}
+    for item in s.slots.items():
+        rows[item[0][0]].append(item)
+    return rows
 
-    A signature is a label set's texts, then the out-slots and the
-    in-slots in slot order, each ``(label text, key texts, multiplicity,
-    direction, label, key)``; it names no node id.
-    """
-    own = {v: ([], []) for v in s.node_mult}
-    for (v, d, l, key), mu in s.slots.items():
-        own[v][d == "in"].append((l.text, _texts(key), mu, d, l, key))
-    groups = {}
-    for v, (outs, ins) in own.items():
-        sig = _texts(s.labels[v]), tuple(sorted(outs)), tuple(sorted(ins))
-        groups.setdefault(sig, []).append(v)
-    return sorted(groups.items())
+
+def _sign(ls, row) -> tuple:
+    """A node's signature, which names no node id: its label set's texts,
+    then its out- and its in-slots, each sorted as ``(label text, key
+    texts, multiplicity, direction, label, key)``."""
+    outs, ins = [], []
+    for (_, d, l, key), mu in row:
+        (outs if d == "out" else ins).append((l.text, _texts(key), mu, d, l, key))
+    return _texts(ls), tuple(sorted(outs)), tuple(sorted(ins))
+
+
+def signatures(s: Shape) -> dict:
+    """Node -> ``(row, label set, signature)`` of the normal shape ``s``."""
+    return {v: (row, s.labels[v], _sign(s.labels[v], row)) for v, row in _rows(s).items()}
 
 
 def abstract(g: Graph) -> Shape:
@@ -102,24 +109,39 @@ def abstract(g: Graph) -> Shape:
     return normalise(_concrete(g))
 
 
-def normalise(s: Shape) -> Shape:
+def normalise(s: Shape, signed: dict | None = None) -> Shape:
     """Fold same-signature nodes together in one pass; idempotent.
 
-    Nodes are numbered in signature order (``_signature_groups``), and
-    slots are stored in slot order: by node, out-slots before in-slots,
-    each by label text and key texts.  Only this pass orders slots.  A
-    merged node keeps its representative's slots, so nodes that differ
-    before the pass still differ after it, and a second pass would merge
-    nothing.  Folding n nodes of multiplicity 1 gives ``approx_card(n)``.
+    Nodes are numbered in signature order (``_sign``), and slots are
+    stored in slot order: by node, out- before in-slots, each by label and
+    key texts; only this pass orders slots.  A node whose row and label
+    set equal those of its id in ``signed``, the ``signatures`` of the
+    normal shape ``s`` came from, takes its signature there and, if it
+    keeps its id, its row as stored.  A merged node keeps its
+    representative's slots; folding n nodes of 1 gives ``approx_card(n)``.
     """
-    ordered = _signature_groups(s)
-    new_id = {v: i for i, (_, grp) in enumerate(ordered) for v in grp}
-    node_mult, labels, slots = {}, {}, {}
-    for i, (sig, grp) in enumerate(ordered):
-        node_mult[i] = functools.reduce(mult.add, (s.node_mult[v] for v in grp))
-        labels[i] = s.labels[grp[0]]
-        slots.update(((i, *slot), mu) for part in sig[1:] for _, _, mu, *slot in part)
-    edges = frozenset((new_id[v], l, new_id[w]) for (v, l, w) in s.edges)
+    signs, signed = [], signed or {}   # (signature, node, its stored row or None)
+    for v, row in _rows(s).items():
+        known = signed.get(v)
+        if known is not None and known[0] == row and known[1] == s.labels[v]:
+            signs.append((known[2], v, row))
+        else:
+            signs.append((_sign(s.labels[v], row), v, None))
+    node_mult, labels, slots, new_id = {}, {}, {}, {}
+    i, last = -1, None
+    for sig, v, row in sorted(signs):
+        if sig == last:   # folded into node i
+            new_id[v], node_mult[i] = i, mult.add(node_mult[i], s.node_mult[v])
+            continue
+        i, last = i + 1, sig
+        new_id[v], node_mult[i], labels[i] = i, s.node_mult[v], s.labels[v]
+        if row is not None and v == i:
+            slots.update(row)
+            continue
+        for part in sig[1:]:
+            for _, _, mu, d, l, key in part:
+                slots[i, d, l, key] = mu
+    edges = frozenset([(new_id[v], l, new_id[w]) for v, l, w in s.edges])
     return Shape(node_mult, labels, edges, slots)
 
 

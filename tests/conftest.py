@@ -4,9 +4,12 @@ isomorphism oracles, the morphism search that tries every host node,
 the shape invariants, the multiplicity texts and membership, the
 radius-1 partition, the concretisation (gamma) oracle, bounded
 concretisations and narrowed copies of a shape, the capacity and count
-tests, the text-sorting normal form, the full-support reconcile, colour
-refinement, the concrete state space by definition and seeded mutants."""
+tests, the text-sorting normal form and the run that checks every
+successor against it, the ``mark`` grammar, the full-support reconcile,
+colour refinement, the concrete state space by definition and seeded
+mutants."""
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -16,13 +19,13 @@ from itertools import permutations, product
 
 import pytest
 
-from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ApplyInfeasible, Graph,
-                        GraphError, Label, Shape, ShapeError, add, binary,
-                        canonical, compare_shapes, graph, unary)
+from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ApplyInfeasible, ExploreConfig,
+                        Graph, GraphError, Label, Shape, ShapeError, add, binary,
+                        canonical, compare_shapes, explore, graph, parse_grammar, unary)
 from shapespace.graphs import morphisms
 from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
-from shapespace.shapes import _concrete, _signature_groups, edge_slots, neighbour_index
+from shapespace.shapes import _concrete, edge_slots, neighbour_index, signatures
 
 UNARY = (unary("A"), unary("B"))
 BINARY = (binary("e"), binary("f"))
@@ -165,6 +168,66 @@ def reference_normalise(s):
     return Shape(node_mult, labels, edges, slots)
 
 
+def normalise_agrees(grammar, seeds=range(3), **config) -> bool:
+    """On abstract runs of ``grammar``, from its start graph renumbered by
+    each of ``seeds``, every call of the engine's ``normalise``, fed the
+    expanded state's signature table, returns ``reference_normalise`` of
+    its input, node numbers included, with its slots in slot order; and
+    the start state is the normal form of the start graph.  The run
+    stops at the first call that differs."""
+    explore_module = importlib.import_module("shapespace.explore")
+    normalise, calls = explore_module.normalise, Counter()
+
+    class Differs(Exception):
+        pass
+
+    def checked(s, signed=None):
+        t = normalise(s, signed)
+        if t != reference_normalise(s) or list(t.slots) != sorted(t.slots, key=slot_order):
+            raise Differs
+        calls[signed is not None] += 1
+        return t
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore_module, "normalise", checked)
+        try:
+            for seed in seeds:
+                start = permuted(random.Random(seed), grammar.start)
+                ts, _ = explore(dataclasses.replace(grammar, start=start),
+                                ExploreConfig(engine="abstract", **config))
+                if checked(_concrete(start)) != ts.states[0]:
+                    return False
+        except Differs:
+            return False
+    assert calls[True] >= 2 * len(seeds)   # successors, each with its state's table
+    return True
+
+
+MARK = parse_grammar("""
+label L unary
+label M unary
+label P unary
+label at binary
+graph
+  node x L
+  node y L
+  node z L
+  node p0 P
+  node p1 P
+  node q0 P
+  node q1 P
+  node r0 P
+  edge p0 -at-> x
+  edge p1 -at-> x
+  edge q0 -at-> y
+  edge q1 -at-> y
+  edge r0 -at-> z
+rule mark
+  use node x L
+  new edge x -M-> x
+""", name="mark")
+
+
 def validate(s):
     """Raise ShapeError when the shape invariants do not hold.  It
     reads the four fields only and never caches ``colours``, which
@@ -204,7 +267,10 @@ def contains(mu, k) -> bool:
 def neighbourhood_partition(g):
     """The radius-1 partition of ``g``'s nodes: the groups that
     ``normalise`` folds in ``abstract(g)``, in signature order."""
-    return tuple(frozenset(grp) for _, grp in _signature_groups(_concrete(g)))
+    groups = {}
+    for v, (_, _, sig) in signatures(_concrete(g)).items():
+        groups.setdefault(sig, []).append(v)
+    return tuple(frozenset(groups[sig]) for sig in sorted(groups))
 
 
 def concretises(g, s):

@@ -16,9 +16,9 @@ from shapespace import (ApplyInfeasible, ExploreConfig, ExploreError, Graph,
                         neighbour_index, parse_grammar, prematch, stats_report)
 from shapespace.explore import CSV_HEADER, ENGINES, SETTINGS, make_engine
 
-from conftest import (bounded_concretisations, concretises, mutant, narrowed,
-                      random_grammar_text, reference_concrete, strictly_isomorphic,
-                      within_capacity, within_count)
+from conftest import (MARK, bounded_concretisations, concretises, mutant, narrowed,
+                      normalise_agrees, random_grammar_text, reference_concrete,
+                      strictly_isomorphic, within_capacity, within_count)
 
 COUNTER = load_bundled("counter")
 LINKED_LIST = load_bundled("linked-list")
@@ -458,31 +458,6 @@ def test_abstract_steps_simulate_concrete_steps(name, strategy, subsumption):
     assert failures == [] and checked >= len(concrete_steps(name))
 
 
-MARK = parse_grammar("""
-label L unary
-label M unary
-label P unary
-label at binary
-graph
-  node x L
-  node y L
-  node z L
-  node p0 P
-  node p1 P
-  node q0 P
-  node q1 P
-  node r0 P
-  edge p0 -at-> x
-  edge p1 -at-> x
-  edge q0 -at-> y
-  edge q1 -at-> y
-  edge r0 -at-> z
-rule mark
-  use node x L
-  new edge x -M-> x
-""", name="mark")
-
-
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="precision, not soundness: relabelling a "
                    "node next to an unmatched collector widens the collector's "
@@ -756,6 +731,8 @@ KEY_WITHOUT_PART_COUNTS = ("rules", "materialise",
 GRAPH_WITHOUT_EDGES = ("explore", "_graph", "frozenset(s.labels.items()), s.edges",
                        "frozenset(s.labels.items())")
 GRAPH_WITHOUT_LABELS = ("explore", "_graph", "frozenset(s.labels.items()), s.edges", "s.edges")
+REUSE_WITHOUT_LABELS = ("shapes", "normalise", "known[0] == row and known[1] == s.labels[v]",
+                        "known[0] == row")
 
 
 def simulated(name):
@@ -805,6 +782,10 @@ MUTANTS = {
         memo_changes_nothing, FIREWALL2, strategy="bfs", subsumption=True)),
     "memo-key-without-labels-firewall-2": (GRAPH_WITHOUT_LABELS, functools.partial(
         memo_changes_nothing, FIREWALL2, strategy="bfs", subsumption=True)),
+    # a relabelled node whose own slots are unchanged keeps its old signature;
+    # no bundled grammar relabels a node
+    "normalise-reuse-without-labels-mark": (REUSE_WITHOUT_LABELS, functools.partial(
+        normalise_agrees, MARK, max_states=150)),
 }
 
 
