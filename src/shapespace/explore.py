@@ -66,7 +66,7 @@ class ExplorationStats:
     transitions_generated: int = 0
     transitions_relevant: int = 0
     time_ms: int = 0
-    peak_mem_bytes: int = 0
+    peak_mem_bytes: int = 0   # how far ru_maxrss grew during the run
     complete: bool = True
 
 
@@ -145,13 +145,15 @@ class AbstractEngine:
     strict shape isomorphism or shape subsumption.  Subsumption buckets
     are keyed by the shape's canonical form; its labelling writes a
     shape in the bucket's ``Frame``.  Only the audit calls ``coincide``.
-    ``canonical`` and ``prematch`` read only a shape's graph (``_graph``),
-    which many shapes share: the engine certifies and prematches each
-    graph once per run, and keeps the results in ``forms`` and ``matches``."""
+    Shapes over one graph differ only in multiplicities.  ``graphs`` has
+    one entry per graph (``_entry``), which keeps the graph's bucket key
+    and match lists once computed.  ``identity``, which the store calls
+    only on a new record, makes the shape hold its entry's ``labels``,
+    ``edges`` and slot key tuples: stored shapes of one graph share them."""
 
     def __init__(self, grammar):
         self.grammar = grammar
-        self.forms, self.matches = {}, {}   # graph -> (form, labelling) / match lists
+        self.graphs = {}   # shape graph -> its entry
         for rule in grammar.rules:
             if rule.has_nac:
                 raise ExploreError(
@@ -161,14 +163,15 @@ class AbstractEngine:
     def start_state(self) -> Shape:
         return abstract(self.grammar.start)
 
-    @staticmethod
-    def identity(s: Shape) -> Shape:
+    def identity(self, s: Shape) -> Shape:
+        s.labels, s.edges, keys = _entry(self.graphs, s)[:3]
+        s.slots = {keys.setdefault(k, k): mu for k, mu in s.slots.items()}
         return s
 
     def bucket(self, s: Shape):
-        if (key := _graph(s)) not in self.forms:
-            self.forms[key] = canonical(s)
-        return self.forms[key]
+        if (entry := _entry(self.graphs, s))[3] is None:
+            entry[3] = canonical(s)
+        return entry[3]
 
     def coincide(self, s: Shape, t: Shape) -> bool:   # subsumed both ways
         return None not in compare_shapes(s, t)
@@ -176,9 +179,9 @@ class AbstractEngine:
     def successors(self, s: Shape):
         out, signed = [], signatures(s)   # the table that normalise reuses, per state
         neighbours, made = neighbour_index(s.labels, s.edges), {}   # one per state
-        if (key := _graph(s)) not in self.matches:
-            self.matches[key] = [prematch(rule, s) for rule in self.grammar.rules]
-        for rule, ms in zip(self.grammar.rules, self.matches[key]):
+        if (entry := _entry(self.graphs, s))[4] is None:
+            entry[4] = [prematch(rule, s) for rule in self.grammar.rules]
+        for rule, ms in zip(self.grammar.rules, entry[4]):
             for m in ms:
                 label = (rule.name, tuple(m.items()))
                 try:
@@ -198,9 +201,13 @@ class AbstractEngine:
         return out
 
 
-def _graph(s: Shape):
-    """A normal shape's graph: labels (stored in node order) and edges."""
-    return frozenset(s.labels.items()), s.edges
+def _entry(graphs: dict, s: Shape) -> list:
+    """The entry of ``s``'s graph in ``graphs``, made from ``s`` if new:
+    ``[labels, edges, slot key -> its tuple, bucket key, match lists]``,
+    the last two None until computed.  Slot keys follow from the graph."""
+    if (key := (frozenset(s.labels.items()), s.edges)) not in graphs:
+        graphs[key] = [s.labels, s.edges, {k: k for k in s.slots}, None, None]
+    return graphs[key]
 
 
 def _abstractness(s: Shape) -> int:
@@ -300,7 +307,7 @@ def explore(grammar, config: ExploreConfig):
     The store writes ``ts.states`` and ``ts.marked``, the loop writes
     ``ts.transitions`` and ``stats``.  ``waiting`` maps each state still
     to expand to its depth; the frontier keeps their order."""
-    t0 = time.perf_counter()
+    t0, rss0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     engine = make_engine(grammar, config.engine)
     stats = ExplorationStats(grammar.name,
                              **{name: getattr(config, name) for name in SETTINGS})
@@ -347,7 +354,7 @@ def explore(grammar, config: ExploreConfig):
         1 for (src, _, _) in ts.transitions if src not in ts.marked)
     stats.complete = complete
     stats.time_ms = int((time.perf_counter() - t0) * 1000)
-    stats.peak_mem_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    stats.peak_mem_bytes = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0) * 1024
     return ts, stats
 
 

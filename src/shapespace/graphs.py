@@ -220,34 +220,35 @@ def canonical(g: Labelled):
     by their labellings are equal.
     """
     colour, texts, tags, near = _stable_colours(g)
-    n, t = len(g.labels), len(tags)
     edges = [(v, c // 2, w) for v, ns in near.items() for c, w in ns if c % 2 == 0]
+    code, labelling = _least(colour, near, edges, len(tags))
+    return repr((len(g.labels), sorted(texts.values()), tags, code)), labelling
 
-    def least(colour):
-        while True:
-            cells = {}
-            for v, c in colour.items():
-                cells.setdefault(c, []).append(v)
-            if len(cells) == n:
-                return sorted([(colour[v] * t + k) * n + colour[w]
-                               for v, k, w in edges]), colour
-            x = min(c for c, vs in cells.items() if len(vs) > 1)
-            reps = {_twin_key(v, near): v for v in cells[x]}
-            if len(reps) > 1:
-                break
-            # One twin class: consecutive colours, last node first, as
-            # individualising the class's representative (the cell's
-            # last node) level by level would give them.
-            k = len(cells[x]) - 1
-            pos = {v: x + k - i for i, v in enumerate(cells[x])}
-            colour = {u: pos[u] if c == x else c + k * (c > x)
-                      for u, c in colour.items()}
-        return min((least(_refine({u: c + (c > x or (c == x and u != v))
-                                   for u, c in colour.items()}, near))
-                    for v in reps.values()), key=lambda r: r[0])
 
-    code, labelling = least(colour)
-    return repr((n, sorted(texts.values()), tags, code)), labelling
+def _least(colour, near, edges, t):
+    """``canonical``'s least leaf below ``colour``: its code and labelling."""
+    n = len(colour)
+    while True:
+        cells = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            return sorted([(colour[v] * t + k) * n + colour[w]
+                           for v, k, w in edges]), colour
+        x = min(c for c, vs in cells.items() if len(vs) > 1)
+        reps = {_twin_key(v, near): v for v in cells[x]}
+        if len(reps) > 1:
+            break
+        # One twin class: consecutive colours, last node first, as
+        # individualising the class's representative (the cell's
+        # last node) level by level would give them.
+        k = len(cells[x]) - 1
+        pos = {v: x + k - i for i, v in enumerate(cells[x])}
+        colour = {u: pos[u] if c == x else c + k * (c > x)
+                  for u, c in colour.items()}
+    return min((_least(_refine({u: c + (c > x or (c == x and u != v))
+                                for u, c in colour.items()}, near), near, edges, t)
+                for v in reps.values()), key=lambda r: r[0])
 
 
 def _twin_key(v, near) -> frozenset:

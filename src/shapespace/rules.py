@@ -299,6 +299,7 @@ def materialise(rule: Rule, phi: dict, s: Shape, neighbours: dict, made: dict):
                 if len(out) > MAX_BRANCHES:
                     raise ShapeError("materialisation branch explosion "
                                      f"(over {MAX_BRANCHES} branches)")
+            del search   # it refers to itself through a cell: break that cycle
         made[split] = out
     return [(Shape(dict(n), dict(ls), set(es), dict(ss)), assign) for n, ls, es, ss in made[split]]
 

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import gc
 import importlib
 import io
 import itertools
@@ -624,23 +625,37 @@ def test_abstract_engine_enumerates_once_per_split_and_pins(monkeypatch):
     assert sum(map(len, dicts.values())) == 366
 
 
-# --- one certificate and one match search per graph ------------------------
+# --- one table per shape graph --------------------------------------------
+
+
+def fields_of(s) -> tuple:
+    """The four fields of the shape ``s`` as values, in stored order."""
+    return (list(s.node_mult.items()), list(s.labels.items()), frozenset(s.edges),
+            list(s.slots.items()))
 
 
 def memo_changes_nothing(grammar, **config):
-    """In an abstract run of ``grammar``, every bucket key the engine
-    returns equals a fresh ``canonical`` of the shape, and every expanded
+    """In an abstract run of ``grammar``, every shape that ``identity``
+    rewrites keeps its four fields, in order; every bucket key the engine
+    returns equals a fresh ``canonical`` of the shape; and every expanded
     state's matches, rule by rule and in order, are those of a fresh
-    ``prematch``: the engine's memo of both by the shape's graph changes
-    no call.  The run stops at the first call that differs."""
+    ``prematch``: the engine's table of shape graphs changes no call.
+    The run stops at the first call that differs."""
     explore_module = importlib.import_module("shapespace.explore")
     engine = explore_module.AbstractEngine
-    bucket, successors = engine.bucket, engine.successors
+    identity, bucket, successors = engine.identity, engine.bucket, engine.successors
     materialise = explore_module.materialise
     expected, checked = [], Counter()
 
     class Differs(Exception):
         pass
+
+    def checked_identity(self, s):
+        given = fields_of(s)
+        if identity(self, s) is not s or fields_of(s) != given:
+            raise Differs
+        checked["identity"] += 1
+        return s
 
     def checked_bucket(self, s):
         key = bucket(self, s)
@@ -663,6 +678,7 @@ def memo_changes_nothing(grammar, **config):
         return materialise(rule, m, s, neighbours, made)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "identity", checked_identity)
         patch.setattr(engine, "bucket", checked_bucket)
         patch.setattr(engine, "successors", checked_successors)
         patch.setattr(explore_module, "materialise", checked_materialise)
@@ -670,7 +686,7 @@ def memo_changes_nothing(grammar, **config):
             run(grammar, engine="abstract", **config)
         except Differs:
             return False
-    assert checked["bucket"] and checked["successors"]
+    assert checked["identity"] and checked["bucket"] and checked["successors"]
     return True
 
 
@@ -713,6 +729,113 @@ def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
     assert counts == {"bucket": 1008, "canonical": 40, "successors": 162, "prematch": 200}
 
 
+def stores_what_it_is_given(grammar, **config):
+    """In an abstract run of ``grammar``, every stored state ends the run
+    with the four fields, in order, of the shape handed to the store:
+    sharing its graph's objects changed no value, and nothing wrote a
+    stored shape after the store took it."""
+    explore_module = importlib.import_module("shapespace.explore")
+    add, given = explore_module._Store.add, {}
+
+    class Differs(Exception):
+        pass
+
+    def copying(self, state):
+        copy = fields_of(state)
+        fresh, i, below = add(self, state)
+        if fresh:
+            given[i] = copy
+            if fields_of(state) != copy:   # stop before the run expands it
+                raise Differs
+        return fresh, i, below
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore_module._Store, "add", copying)
+        try:
+            ts, _ = run(grammar, engine="abstract", **config)
+        except Differs:
+            return False
+    assert ts.states.keys() == given.keys()
+    return all(fields_of(s) == given[i] for i, s in ts.states.items())
+
+
+def table_changes_no_answer(grammar, **config):
+    """An abstract run of ``grammar`` stores the states, marks the states
+    and keeps the transitions of the same run with a fresh entry made on
+    every ``_entry`` call, which shares and remembers nothing."""
+    explore_module = importlib.import_module("shapespace.explore")
+    entry = explore_module._entry
+    ts, _ = run(grammar, engine="abstract", **config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore_module, "_entry", lambda graphs, s: entry({}, s))
+        alone, _ = run(grammar, engine="abstract", **config)
+    return ([(i, fields_of(s)) for i, s in ts.states.items()]
+            == [(i, fields_of(s)) for i, s in alone.states.items()]
+            and (ts.marked, ts.transitions) == (alone.marked, alone.transitions))
+
+
+@pytest.mark.parametrize("grammar, config, stored, graphs", [
+    ("firewall-4", dict(strategy="dfs", subsumption=True), 267, 40),
+    ("firewall-6F", dict(strategy="bfs", subsumption=False, max_states=800), 802, 159)])
+def test_stored_shapes_of_one_graph_share_its_objects(grammar, config, stored, graphs):
+    ts, _ = run(load_bundled(grammar), **config)
+    first = {}   # graph -> its first stored shape
+    for s in ts.states.values():
+        t = first.setdefault((frozenset(s.labels.items()), s.edges), s)
+        assert s.labels is t.labels and s.edges is t.edges
+        assert s.slots.keys() == t.slots.keys()
+        assert all(k is t_k for k, t_k in zip(s.slots, t.slots))
+    assert (len(ts.states), len(first)) == (stored, graphs)
+    assert len({id(s.labels) for s in ts.states.values()}) == graphs
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_stored_shapes_keep_what_the_store_was_given(name, strategy, subsumption):
+    assert stores_what_it_is_given(load_bundled(name), strategy=strategy,
+                                   subsumption=subsumption, max_states=150)
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_table_of_shape_graphs_changes_no_answer(name, strategy, subsumption):
+    assert table_changes_no_answer(load_bundled(name), strategy=strategy,
+                                   subsumption=subsumption, max_states=150)
+
+
+@pytest.mark.parametrize("subsumption", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 13, 87])
+def test_table_of_shape_graphs_changes_no_answer_on_random_grammars(seed, subsumption):
+    text = random_grammar_text(seed)
+    assert table_changes_no_answer(parse_grammar(text), subsumption=subsumption,
+                                   max_depth=3, max_states=400), text
+
+
+def test_exploration_leaves_no_reference_cycle():
+    # canonical's least-leaf search and materialise's slot search recurse;
+    # neither leaves a cycle for the collector, so with it off nothing is left
+    runs = [(FIREWALL3, dict(subsumption=True)), (FIREWALL3, dict(subsumption=False)),
+            (load_bundled("firewall-6F"), dict(engine="concrete", max_depth=6))]
+    gc.collect()
+    gc.disable()
+    try:
+        for grammar, config in runs:
+            run(grammar, **config)
+            assert gc.collect() == 0, config
+    finally:
+        gc.enable()
+
+
+def test_peak_memory_is_the_growth_of_this_run():
+    # the process-wide peak stays where a larger run left it, so a small
+    # run after it reads 0
+    _, large = run(FIREWALL3, subsumption=False)
+    _, small = run(COUNTER)
+    assert large.peak_mem_bytes >= 0 and small.peak_mem_bytes == 0
+
+
 # --- seeded mutants -------------------------------------------------------
 
 # A mutant replaces the one occurrence of a snippet in a function of the
@@ -728,9 +851,13 @@ NO_CAPACITY_CHECK = ("rules", "materialise", "if mu.lo > cap:", "if False:")
 KEY_WITHOUT_PINS = ("rules", "materialise", "if slot[0] not in s.node_mult))", "if False))")
 KEY_WITHOUT_PART_COUNTS = ("rules", "materialise",
                            "tuple((u, len(ps)) for u, (ps, _) in parts.items())", "tuple(parts)")
-GRAPH_WITHOUT_EDGES = ("explore", "_graph", "frozenset(s.labels.items()), s.edges",
+GRAPH_WITHOUT_EDGES = ("explore", "_entry", "(frozenset(s.labels.items()), s.edges)",
                        "frozenset(s.labels.items())")
-GRAPH_WITHOUT_LABELS = ("explore", "_graph", "frozenset(s.labels.items()), s.edges", "s.edges")
+GRAPH_WITHOUT_LABELS = ("explore", "_entry", "(frozenset(s.labels.items()), s.edges)", "s.edges")
+GRAPH_WITHOUT_LABEL_SETS = ("explore", "_entry", "(frozenset(s.labels.items()), s.edges)",
+                            "(frozenset(s.labels), s.edges)")
+NO_BARE_SPLIT = ("rules", "materialise", "([None] if lo == 0 else [])", "[]")
+FOLD_BY_LABELS = ("shapes", "normalise", "if sig == last:", "if last and sig[0] == last[0]:")
 REUSE_WITHOUT_LABELS = ("shapes", "normalise", "known[0] == row and known[1] == s.labels[v]",
                         "known[0] == row")
 
@@ -786,6 +913,17 @@ MUTANTS = {
     # no bundled grammar relabels a node
     "normalise-reuse-without-labels-mark": (REUSE_WITHOUT_LABELS, functools.partial(
         normalise_agrees, MARK, max_states=150)),
+    # two pairs of firewall-2's stored graphs differ only in label sets:
+    # keyed without them, a later shape takes an earlier one's labels
+    "intern-key-without-labels-firewall-2": (GRAPH_WITHOUT_LABEL_SETS, functools.partial(
+        stores_what_it_is_given, FIREWALL2, strategy="bfs", subsumption=False)),
+    # a collector always keeps a remainder: 5 concrete steps unsimulated
+    "materialise-no-bare-split-firewall-2": (NO_BARE_SPLIT, functools.partial(
+        simulated, "firewall-2")),
+    # nodes of one label set with different slots folded into one; the
+    # successor's slots no longer match its edges, so a later step raises
+    "normalise-fold-by-labels-firewall-2": (FOLD_BY_LABELS, functools.partial(
+        normalise_agrees, FIREWALL2, max_states=150)),
 }
 
 
