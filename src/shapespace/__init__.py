@@ -9,8 +9,8 @@ from .graphs import (Graph, GraphError, Label, binary, canonical, certificate,
                      find_isomorphism, graph, isomorphisms, unary)
 from .shapes import (Shape, ShapeError, abstract, compare_shapes, covered,
                      neighbour_index, normalise)
-from .rules import (ApplyInfeasible, Rule, RuleError, apply, concrete_apply,
-                    concrete_matches, materialise, prematch)
+from .rules import (Rule, RuleError, apply, concrete_apply, concrete_matches,
+                    materialise, prematch)
 from .explore import (CSV_HEADER, ExplorationStats, ExploreConfig,
                       ExploreError, TransitionSystem, explore, stats_report)
 from .grammar import (Grammar, GrammarError, bundled_grammar_names,

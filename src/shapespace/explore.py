@@ -19,8 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
 from .multiplicity import ONE_PLUS, TWO_PLUS, ZERO_PLUS
-from .rules import (ApplyInfeasible, apply, concrete_apply, concrete_matches,
-                    materialise, prematch)
+from .rules import apply, concrete_apply, concrete_matches, materialise, prematch
 from .shapes import (Frame, Shape, ShapeError, abstract, compare_shapes,
                      neighbour_index, normalise, signatures)
 
@@ -188,12 +187,7 @@ class AbstractEngine:
                     mats = materialise(rule, m, s, neighbours, made)
                 except ShapeError as exc:
                     raise ExploreError(f"rule {rule.name!r}: {exc}") from None
-                for branch, match in mats:
-                    try:
-                        t = apply(rule, branch, match)
-                    except ApplyInfeasible:
-                        continue
-                    out.append((label, normalise(t, signed)))
+                out += [(label, normalise(apply(rule, b, match), signed)) for b, match in mats]
         # Canonical order: least abstract first.  The DFS stack then
         # pops the most abstract successor first, which reaches the
         # subsuming fixpoint states early and prunes harder.

@@ -47,10 +47,6 @@ class RuleError(ValueError):
     pass
 
 
-class ApplyInfeasible(RuntimeError):
-    """A rewrite branch turned out to describe no concretisation at all."""
-
-
 @dataclass
 class Rule:
     """Single-graph rule; ``edges`` entries are (src, label, tgt, role).
@@ -410,13 +406,14 @@ def apply(rule: Rule, branch: Shape, match: dict) -> Shape:
             for slot in edge_slots(labels, *e):
                 slot_inc(slot)
 
-    # 6. reconcile the touched nodes' slots with their surviving edges; a
-    # slot that gained an edge has its entry, and no other slot changed
+    # 6. reconcile the touched nodes' slots with their surviving edges; no
+    # other slot changed.  A slot it drops has lo 0: the branch passed the
+    # capacity test, and each edge that steps 1, 2 and 4 take out of a kept
+    # node's slot has a concrete end, so takes 1 off its capacity and its lo.
     support = {slot for e in edges if e[0] in touched or e[2] in touched
                for slot in edge_slots(labels, *e) if slot[0] in touched}
     for slot in [k for k in slots if k[0] in touched and k not in support]:
-        if slots.pop(slot).lo > 0:
-            raise ApplyInfeasible(f"slot without support at node {slot[0]}")
+        slots.pop(slot)
     for slot in support:
         slots.setdefault(slot, mult.ONE_PLUS)
     return branch

@@ -19,7 +19,7 @@ from itertools import permutations, product
 
 import pytest
 
-from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ApplyInfeasible, ExploreConfig,
+from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         Graph, GraphError, Label, Shape, ShapeError, add, binary,
                         canonical, compare_shapes, explore, graph, parse_grammar, unary)
 from shapespace.graphs import morphisms
@@ -362,15 +362,19 @@ def narrowed(rng, g, s, pi):
     return Shape(node_mult, dict(s.labels), s.edges, slots)
 
 
-def mutant(module, function, old, new):
+def mutant(module, function, *edits):
     """``function`` of ``shapespace.<module>``, compiled from a copy of
-    the module's source in which the one occurrence of ``old`` is
-    ``new``; every other name it reads is the module's own."""
+    the module's source edited by ``edits``, pairs ``old, new`` in turn:
+    the one occurrence of each ``old`` becomes its ``new``.  Every other
+    name it reads is the module's own."""
+    assert edits and len(edits) % 2 == 0, edits
     original = importlib.import_module(f"shapespace.{module}")
     source = inspect.getsource(original)
-    assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times"
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times"
+        source = source.replace(old, new)
     scope = {"__name__": original.__name__, "__package__": original.__package__}
-    exec(compile(source.replace(old, new), original.__file__, "exec"), scope)
+    exec(compile(source, original.__file__, "exec"), scope)
     mutated = scope[function]
     scope.update((k, v) for k, v in vars(original).items() if k != function)
     return mutated
@@ -378,14 +382,12 @@ def mutant(module, function, old, new):
 
 def full_reconcile(s):
     """Step 6 of ``apply`` over every slot: a copy of ``s`` whose slot
-    keys are exactly the supported ones.  An unsupported slot is dropped,
-    or raises ApplyInfeasible if it must be positive; a supported slot
-    without an entry becomes 1+."""
+    keys are exactly the supported ones.  An unsupported slot is dropped;
+    a supported slot without an entry becomes 1+."""
     slots = dict(s.slots)
     support = {slot for e in s.edges for slot in edge_slots(s.labels, *e)}
     for slot in [k for k in slots if k not in support]:
-        if slots.pop(slot).lo > 0:
-            raise ApplyInfeasible(f"slot without support at node {slot[0]}")
+        slots.pop(slot)
     for slot in support:
         slots.setdefault(slot, ONE_PLUS)
     return Shape(dict(s.node_mult), dict(s.labels), set(s.edges), slots)
