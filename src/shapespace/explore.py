@@ -20,7 +20,7 @@ from .graphs import (Graph, canonical, certificate as graph_certificate,
                      find_isomorphism, twins)
 from .multiplicity import ONE_PLUS, TWO_PLUS, ZERO_PLUS
 from .rules import apply, concrete_apply, concrete_matches, materialise, prematch
-from .shapes import (Frame, Shape, ShapeError, abstract, compare_shapes,
+from .shapes import (Frame, Shape, ShapeError, abstract, canonical_order, compare_shapes,
                      neighbour_index, normalise, signatures)
 
 
@@ -108,7 +108,8 @@ class ConcreteEngine:
     by an automorphism of the state, so their successors are isomorphic:
     the rule is applied once per such orbit, and that one ``Graph`` is
     the target of every match in the orbit, each under its own
-    transition label.  The store certifies a record once (``_Store``)."""
+    transition label; the rules' searches share one index of the state's
+    edges.  The store certifies a record once (``_Store``)."""
 
     bucket = None
 
@@ -126,11 +127,11 @@ class ConcreteEngine:
         return find_isomorphism(g, h) is not None
 
     def successors(self, g: Graph):
-        twin = twins(g)
+        twin, ends = twins(g), {}   # ends: the searches' index, built once
         out = []
         for rule in self.grammar.rules:
             made = {}   # orbit: the twin classes of the images -> successor
-            for m in concrete_matches(rule, g):
+            for m in concrete_matches(rule, g, ends):
                 label = (rule.name, tuple(m.items()))
                 orbit = tuple(twin[x] for _, x in label[1])
                 if orbit not in made:
@@ -142,13 +143,13 @@ class ConcreteEngine:
 class AbstractEngine:
     """States are normal shapes, each its own identity; freshness is
     strict shape isomorphism or shape subsumption.  Subsumption buckets
-    are keyed by the shape's canonical form; its labelling writes a
-    shape in the bucket's ``Frame``.  Only the audit calls ``coincide``.
-    Shapes over one graph differ only in multiplicities.  ``graphs`` has
-    one entry per graph (``_entry``), which keeps the graph's bucket key
-    and match lists once computed.  ``identity``, which the store calls
-    only on a new record, makes the shape hold its entry's ``labels``,
-    ``edges`` and slot key tuples: stored shapes of one graph share them."""
+    are keyed by the shape's canonical form, and the bucket's ``Frame``
+    reads ``mults`` in the graph's canonical order.  Only the audit calls
+    ``coincide``.  ``graphs`` has one entry per shape graph (``_entry``),
+    whose memo ``explore`` empties at the run's end.  ``identity`` (only
+    on a new record) makes a shape hold its entry and the entry's objects:
+    a stored shape is its shared graph plus one tuple, whose entry
+    ``bucket`` and ``successors`` reach directly."""
 
     def __init__(self, grammar):
         self.grammar = grammar
@@ -163,22 +164,22 @@ class AbstractEngine:
         return abstract(self.grammar.start)
 
     def identity(self, s: Shape) -> Shape:
-        s.labels, s.edges, keys = _entry(self.graphs, s)[:3]
-        s.slots = {keys.setdefault(k, k): mu for k, mu in s.slots.items()}
-        return s
+        return _entry(self.graphs, s)
 
     def bucket(self, s: Shape):
-        if (entry := _entry(self.graphs, s))[3] is None:
-            entry[3] = canonical(s)
+        if (entry := s.entry)[3] is None:
+            form, labelling = canonical(s)
+            entry[3] = form, canonical_order(s, labelling)
         return entry[3]
 
     def coincide(self, s: Shape, t: Shape) -> bool:   # subsumed both ways
         return None not in compare_shapes(s, t)
 
     def successors(self, s: Shape):
+        entry, s = s.entry, Shape(s.node_mult, s.labels, s.edges, s.slots)   # dicts, once
         out, signed = [], signatures(s)   # the table that normalise reuses, per state
         neighbours, made = neighbour_index(s.labels, s.edges), {}   # one per state
-        if (entry := _entry(self.graphs, s))[4] is None:
+        if entry[4] is None:
             entry[4] = [prematch(rule, s) for rule in self.grammar.rules]
         for rule, ms in zip(self.grammar.rules, entry[4]):
             for m in ms:
@@ -188,25 +189,22 @@ class AbstractEngine:
                 except ShapeError as exc:
                     raise ExploreError(f"rule {rule.name!r}: {exc}") from None
                 out += [(label, normalise(apply(rule, b, match), signed)) for b, match in mats]
-        # Canonical order: least abstract first.  The DFS stack then
-        # pops the most abstract successor first, which reaches the
-        # subsuming fixpoint states early and prunes harder.
-        out.sort(key=lambda p: _abstractness(p[1]))
+        # Canonical order: least abstract (fewest unbounded multiplicities)
+        # first.  The DFS stack then pops the most abstract successor first,
+        # which reaches the subsuming fixpoint states early and prunes harder.
+        out.sort(key=lambda p: sum(map(_UNBOUNDED.__contains__, p[1].mults)))
         return out
 
 
-def _entry(graphs: dict, s: Shape) -> list:
-    """The entry of ``s``'s graph in ``graphs``, made from ``s`` if new:
-    ``[labels, edges, slot key -> its tuple, bucket key, match lists]``,
-    the last two None until computed.  Slot keys follow from the graph."""
+def _entry(graphs: dict, s: Shape) -> Shape:
+    """``s``, holding its graph's entry in ``graphs`` as ``s.entry``, and the
+    entry's first three objects: ``[labels, edges, slot keys, bucket key and
+    order, match lists]``, made from ``s`` if new, the last two None until computed."""
     if (key := (frozenset(s.labels.items()), s.edges)) not in graphs:
-        graphs[key] = [s.labels, s.edges, {k: k for k in s.slots}, None, None]
-    return graphs[key]
-
-
-def _abstractness(s: Shape) -> int:
-    """How many multiplicity entries of the shape are unbounded."""
-    return sum(map(_UNBOUNDED.__contains__, [*s.node_mult.values(), *s.slots.values()]))
+        graphs[key] = [s.labels, s.edges, s.keys, None, None]
+    s.entry = graphs[key]
+    s.labels, s.edges, s.keys = s.entry[:3]
+    return s
 
 
 _UNBOUNDED = {ZERO_PLUS, ONE_PLUS, TWO_PLUS}   # the values with no upper bound
@@ -230,8 +228,8 @@ class _Store:
     """State store with the two freshness policies: ``live`` maps the
     exact record and the identity of each unmarked state to its id (a
     normal shape is both), and an identity is computed only on a miss of
-    the record.  A duplicate found by its identity leaves its record in
-    ``live`` too, so an equal record later is found with no identity;
+    the record.  A duplicate found by its identity leaves its record, not
+    its colouring, in ``live``, so an equal record later needs no identity;
     only the concrete engine's records differ from their identities, and
     it marks no state.  With subsumption on, ``buckets`` hold the unmarked
     states by their bucket key (``engine.bucket``, memoised by the shape's
@@ -260,17 +258,18 @@ class _Store:
         i = self.live.get(state)
         if i is None and (key := self.engine.identity(state)) is not state:
             i = self.live.get(key)
-            if i is not None:   # remember the duplicate's record
+            if i is not None:   # remember the duplicate's record, not its colouring
                 self.live[state] = i
+                vars(state).pop("colours", None)
         if i is not None:
             return False, i, ()
         members, orbit = {}, [None]
         if self.bucket_of:
-            form, labelling = self.bucket_of(state)
+            form, order = self.bucket_of(state)
             if form not in self.buckets:
-                self.buckets[form] = Frame(state, labelling), {}
+                self.buckets[form] = Frame(state, order), {}
             frame, members = self.buckets[form]
-            orbit = frame.orbit(state, labelling)
+            orbit = frame.orbit(state, order)
         below = []
         for i, old in members.items():
             new_below_old, old_below_new = frame.compare(orbit, old)
@@ -341,6 +340,8 @@ def explore(grammar, config: ExploreConfig):
                 stats.subsumed += 1
                 stats.discarded += waiting.pop(k, None) is not None
 
+    for entry in getattr(engine, "graphs", {}).values():   # the memo ends with the run
+        entry[3] = entry[4] = None
     if not config.subsumption:
         stats.maximum = stats.generated
     stats.relevant = stats.generated - stats.subsumed

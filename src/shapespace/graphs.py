@@ -272,7 +272,7 @@ def certificate(g: Labelled) -> str:
 
 
 def morphisms(pattern: Labelled, host: Labelled, injective: bool,
-              candidates: dict | None = None):
+              candidates: dict | None = None, ends: dict | None = None):
     """All label/structure-preserving node maps of ``pattern`` into ``host``:
     each node's labels are among its image's, each edge's image is an edge.
 
@@ -290,7 +290,7 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     edges of that label and direction at the anchor's image, ascending:
     exactly the ascending host nodes that pass that edge's check, so the
     maps and their order are unchanged.  The index of those ends is
-    built per call.  Explicit candidates are tried as given.
+    built once per ``ends`` dict.  Explicit candidates are tried as given.
     """
     want, have = pattern.labels, host.labels
     anchors = {}   # node -> (earlier node, label, direction of its edges)
@@ -310,8 +310,8 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     for (v, l, w) in pattern.edges:
         checks[max(rank[v], rank[w])].append((v, l, w))
     edges = host.edges
-    ends = {}   # (host node, label, direction) -> the other ends, ascending
-    if anchors:
+    ends = {} if ends is None else ends   # (host node, label, direction) -> the other ends
+    if anchors and not ends:
         for (x, l, y) in edges:
             ends.setdefault((x, l, "out"), []).append(y)
             ends.setdefault((y, l, "in"), []).append(x)

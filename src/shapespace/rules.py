@@ -119,9 +119,9 @@ def _nac_blocked(rule: Rule, m: dict, g: Graph) -> bool:
     return next(morphisms(pattern, g, injective=True, candidates=candidates), None) is not None
 
 
-def concrete_matches(rule: Rule, g: Graph):
-    """Injective matches of the rule's LHS in ``g``, NACs respected."""
-    return [m for m in morphisms(rule.lhs, g, injective=True)
+def concrete_matches(rule: Rule, g: Graph, ends: dict | None = None):
+    """Injective matches of the rule's LHS in ``g``, NACs respected (``ends``: ``morphisms``)."""
+    return [m for m in morphisms(rule.lhs, g, injective=True, ends=ends)
             if not _nac_blocked(rule, m, g)]
 
 

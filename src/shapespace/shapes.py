@@ -14,7 +14,7 @@ isomorphism search take the shape itself.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import Graph, Labelled, _texts, isomorphisms
 from . import multiplicity as mult
@@ -31,7 +31,7 @@ def edge_slots(labels, v, l, w):
     return (v, "out", l, labels[w]), (w, "in", l, labels[v])
 
 
-@dataclass
+@dataclass(eq=False)
 class Shape(Labelled):
     """Node multiplicities, label sets, binary edges and slots.
 
@@ -40,27 +40,48 @@ class Shape(Labelled):
     keys are exactly the slots that some shape edge supports
     (``edge_slots``), and a missing slot denotes multiplicity 0.
     ``materialise`` builds shapes that ``apply`` rewrites in place;
-    ``normalise`` returns shapes that are immutable by convention and
-    hash by all four fields.  Normal shapes are strictly isomorphic
-    exactly when equal, and keep their slots in slot order: ``normalise``
-    copies such a row as stored from the state's ``signatures`` table.
-    """
+    ``normalise`` returns them ``stored``, immutable by convention: slot
+    ``keys`` and one tuple ``mults``, node multiplicities in node order,
+    then slot multiplicities in ``keys`` order, stand for the two dicts,
+    which each read builds afresh.  Normal shapes are strictly isomorphic
+    exactly when equal, keep slot order, and compare as tuples."""
 
     node_mult: dict   # node -> multiplicity
     labels: dict      # node -> unary label set
     edges: set        # binary edges (v, l, w); a frozenset once normal
     slots: dict       # slot key -> multiplicity
+    mults = None      # a stored shape's multiplicities
+
+    @staticmethod
+    def stored(labels, edges, keys, mults) -> Shape:
+        s = object.__new__(_Stored)
+        s.labels, s.edges, s.keys, s.mults = labels, edges, keys, mults
+        return s
+
+    def __eq__(self, other):   # stored shapes compare tuples; a branch, its dicts
+        if not isinstance(other, Shape):
+            return NotImplemented
+        if None in (self.mults, other.mults):
+            return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(Shape))
+        return (self.mults, self.keys, self.edges, self.labels) == (
+            other.mults, other.keys, other.edges, other.labels)
 
     @functools.cached_property
-    def _hash(self) -> int:
-        return hash((frozenset(self.node_mult.items()), frozenset(self.labels.items()),
-                     frozenset(self.edges), frozenset(self.slots.items())))
+    def _hash(self) -> int:   # by (node or slot, multiplicity) pairs, whatever the form
+        pairs = ((*self.node_mult.items(), *self.slots.items()) if self.mults is None
+                 else zip((*self.labels, *self.keys), self.mults))
+        return hash((frozenset(self.labels.items()), frozenset(self.edges), frozenset(pairs)))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Shape({len(self.node_mult)} nodes, {len(self.edges)} edges)"
+        return f"Shape({len(self.labels)} nodes, {len(self.edges)} edges)"
+
+
+class _Stored(Shape):   # a __getattr__ on Shape would slow every read of a branch's fields
+    node_mult = property(lambda s: dict(zip(s.labels, s.mults)))
+    slots = property(lambda s: dict(zip(s.keys, s.mults[len(s.labels):])))
 
 
 def neighbour_index(labels, edges) -> dict:
@@ -142,24 +163,22 @@ def normalise(s: Shape, signed: dict | None = None) -> Shape:
             for _, _, mu, d, l, key in part:
                 slots[i, d, l, key] = mu
     edges = frozenset([(new_id[v], l, new_id[w]) for v, l, w in s.edges])
-    return Shape(node_mult, labels, edges, slots)
+    return Shape.stored(labels, edges, tuple(slots), (*node_mult.values(), *slots.values()))
 
 
 # --- comparison -----------------------------------------------------------
 
 
-def _mults_below(s: Shape, t: Shape, phi: dict) -> bool:
-    """All multiplicities of ``s`` subsumed by ``t``'s under ``phi``.
-
-    ``phi`` is an isomorphism, so it keeps label sets, and both shapes'
-    slot keys are exactly their supported ones: each slot of ``s`` has
-    its image slot in ``t``.
-    """
-    for v, mu in s.node_mult.items():
-        if not subsumes(t.node_mult[phi[v]], mu):
+def _mults_below(s: tuple, t: tuple, phi: dict) -> bool:
+    """All of ``s``'s ``(node_mult, slots)`` subsumed by ``t``'s under
+    ``phi``.  ``phi`` is an isomorphism, so it keeps label sets, and both
+    shapes' slot keys are exactly their supported ones: each slot of
+    ``s`` has its image slot in ``t``."""
+    for v, mu in s[0].items():
+        if not subsumes(t[0][phi[v]], mu):
             return False
-    for (v, *rest), mu in s.slots.items():
-        if not subsumes(t.slots[(phi[v], *rest)], mu):
+    for (v, *rest), mu in s[1].items():
+        if not subsumes(t[1][(phi[v], *rest)], mu):
             return False
     return True
 
@@ -173,47 +192,47 @@ def compare_shapes(s: Shape, t: Shape):
     Every graph isomorphism is tried before a direction is declared to
     fail; one failing candidate proves nothing.
     """
-    wit_st = None
-    wit_ts = None
+    wit_st = wit_ts = None
+    ms, mt = (s.node_mult, s.slots), (t.node_mult, t.slots)
     for phi in isomorphisms(s, t):
         inv = {w: v for v, w in phi.items()}
-        if wit_st is None and _mults_below(s, t, phi):
+        if wit_st is None and _mults_below(ms, mt, phi):
             wit_st = phi
-        if wit_ts is None and _mults_below(t, s, inv):
+        if wit_ts is None and _mults_below(mt, ms, inv):
             wit_ts = inv
         if wit_st is not None and wit_ts is not None:
             break
     return wit_st, wit_ts
 
 
+def canonical_order(s: Shape, labelling: dict) -> tuple:
+    """``s.mults``'s positions by node place in ``graphs.canonical``'s ``labelling``,
+    nodes first, then slots by direction, label and key texts."""
+    coords = [(0, labelling[v]) for v in s.labels] + [
+        (1, labelling[v], d, l.text, _texts(key)) for v, d, l, key in s.keys]
+    return tuple(sorted(range(len(coords)), key=coords.__getitem__))
+
+
 class Frame:
     """Canonical coordinates of the shapes over one graph (up to
-    isomorphism): node multiplicities by position in the labelling of
-    ``graphs.canonical``, then slots, keyed ``(position, direction,
-    label, key)``, each at the place ``index`` gives.  ``perms`` holds
-    the graph's other automorphisms, found once by the full
-    ``isomorphisms``, as index permutations.  A shape is below another
-    exactly when, under some automorphism, every entry is below the
-    other's."""
+    isomorphism): ``mults`` in its graph's ``canonical_order``.  ``perms``
+    holds the graph's other automorphisms, found once by ``isomorphisms``,
+    as index permutations.  A shape is below another exactly when, under
+    some automorphism, every entry is below the other's."""
 
-    def __init__(self, s: Shape, labelling: dict):
-        keys = [(labelling[v], *rest) for v, *rest in s.slots]
-        self.index = {k: i for i, k in enumerate(keys, len(s.node_mult))}
+    def __init__(self, s: Shape, order: tuple):
+        place = {j: i for i, j in enumerate(order)}   # position in mults -> coordinate
+        at = {x: j for j, x in enumerate((*s.labels, *s.keys))}   # node or slot -> position
         self.perms = []
         for phi in isomorphisms(s, s):
-            sigma = {labelling[v]: labelling[w] for v, w in phi.items()}
-            if any(p != q for p, q in sigma.items()):
-                self.perms.append((*(sigma[p] for p in range(len(sigma))),
-                                   *(self.index[(sigma[p], *rest)] for p, *rest in keys)))
+            if any(v != w for v, w in phi.items()):
+                image = [at[phi[v]] for v in s.labels] + [at[(phi[v], *k)] for v, *k in s.keys]
+                self.perms.append(tuple(place[image[j]] for j in order))
 
-    def orbit(self, s: Shape, labelling: dict) -> list:
-        """``s``'s tuple, then its images under ``perms``."""
-        vec = [None] * (len(s.node_mult) + len(self.index))
-        for v, mu in s.node_mult.items():
-            vec[labelling[v]] = mu
-        for (v, *rest), mu in s.slots.items():
-            vec[self.index[(labelling[v], *rest)]] = mu
-        return [tuple(vec), *(tuple(map(vec.__getitem__, a)) for a in self.perms)]
+    def orbit(self, s: Shape, order: tuple) -> list:
+        """``s``'s coordinates, then their images under ``perms``."""
+        vec = tuple(map(s.mults.__getitem__, order))
+        return [vec, *(tuple(map(vec.__getitem__, a)) for a in self.perms)]
 
     @staticmethod
     def compare(orbit: list, old: tuple):

@@ -17,6 +17,7 @@ from shapespace import (ExploreConfig, ExploreError, Graph,
                         neighbour_index, parse_grammar, prematch, render_grammar,
                         stats_report)
 from shapespace.explore import CSV_HEADER, ENGINES, SETTINGS, make_engine
+from shapespace.shapes import canonical_order
 
 from conftest import (MARK, bounded_concretisations, concretises, mutant, narrowed,
                       normalise_agrees, random_grammar_text, reference_concrete,
@@ -137,6 +138,26 @@ def test_concrete_engine_certifies_no_record_twice(monkeypatch, name, strategy):
     monkeypatch.setattr(explore_module, "graph_certificate", counting_certificate)
     run(load_bundled(name), engine="concrete", strategy=strategy, max_depth=5)
     assert certified and max(certified.values()) == 1
+
+
+def test_remembered_duplicates_keep_no_colouring(monkeypatch):
+    # firewall-6F to depth 8: the store remembers the records of 843
+    # dropped duplicates, and none keeps the colouring its certificate
+    # computed; the stored records keep theirs
+    explore_module = importlib.import_module("shapespace.explore")
+    stores, init = [], explore_module._Store.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        stores.append(self)
+
+    monkeypatch.setattr(explore_module._Store, "__init__", recording_init)
+    ts, _ = run(load_bundled("firewall-6F"), engine="concrete", max_depth=8)
+    stored = {id(g) for g in ts.states.values()}
+    remembered = [g for g in stores[0].live if isinstance(g, Graph) and id(g) not in stored]
+    assert len(remembered) == 843
+    assert not any("colours" in vars(g) for g in remembered)
+    assert all("colours" in vars(g) for g in ts.states.values())
 
 
 @pytest.mark.parametrize("name", bundled_grammar_names())
@@ -692,8 +713,9 @@ def fields_of(s) -> tuple:
 
 def memo_changes_nothing(grammar, **config):
     """In an abstract run of ``grammar``, every shape that ``identity``
-    rewrites keeps its four fields, in order; every bucket key the engine
-    returns equals a fresh ``canonical`` of the shape; and every expanded
+    rewrites keeps its four fields, in order; every bucket key and order
+    the engine returns equal a fresh ``canonical`` of the shape and the
+    ``canonical_order`` of its labelling; and every expanded
     state's matches, rule by rule and in order, are those of a fresh
     ``prematch``: the engine's table of shape graphs changes no call.
     The run stops at the first call that differs."""
@@ -715,7 +737,8 @@ def memo_changes_nothing(grammar, **config):
 
     def checked_bucket(self, s):
         key = bucket(self, s)
-        if key != canonical(s):
+        form, labelling = canonical(s)
+        if key != (form, canonical_order(s, labelling)):
             raise Differs
         checked["bucket"] += 1
         return key
@@ -762,9 +785,10 @@ def test_memo_of_bucket_keys_and_matches_changes_no_call_on_random_grammars(seed
 
 def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
     # firewall-4, dfs, subsumption on (the benchmark's headline workload):
-    # the store looks up 1,008 bucket keys of shapes over 40 graphs, and
-    # the 162 expanded states, with 5 rules each, make 810 (rule, state)
-    # searches over 200 (rule, graph) pairs.
+    # the store looks up the graph of each of its 1,008 misses once, and
+    # their 1,008 bucket keys are of shapes over 40 graphs; the 162
+    # expanded states, with 5 rules each, make 810 (rule, state) searches
+    # over 200 (rule, graph) pairs.
     explore_module = importlib.import_module("shapespace.explore")
     counts = Counter()
 
@@ -774,7 +798,7 @@ def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
             return function(*args)
         return counted
 
-    for name in ("canonical", "prematch"):
+    for name in ("_entry", "canonical", "prematch"):
         monkeypatch.setattr(explore_module, name, counting(name, getattr(explore_module, name)))
     for name in ("bucket", "successors"):
         monkeypatch.setattr(explore_module.AbstractEngine, name,
@@ -782,7 +806,8 @@ def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
     grammar = load_bundled("firewall-4")
     _, stats = run(grammar, strategy="dfs", subsumption=True)
     assert (stats.generated, stats.subsumed) == (267, 132) and len(grammar.rules) == 5
-    assert counts == {"bucket": 1008, "canonical": 40, "successors": 162, "prematch": 200}
+    assert counts == {"_entry": 1008, "bucket": 1008, "canonical": 40, "successors": 162,
+                      "prematch": 200}
 
 
 def stores_what_it_is_given(grammar, **config):
@@ -834,15 +859,25 @@ def table_changes_no_answer(grammar, **config):
     ("firewall-4", dict(strategy="dfs", subsumption=True), 267, 40),
     ("firewall-6F", dict(strategy="bfs", subsumption=False, max_states=800), 802, 159)])
 def test_stored_shapes_of_one_graph_share_its_objects(grammar, config, stored, graphs):
+    # and each is its graph's objects and one multiplicity tuple, with no
+    # dict of its own: the node and slot multiplicities, in order; the
+    # bucket keys and match lists of the run's entries end with the run
     ts, _ = run(load_bundled(grammar), **config)
     first = {}   # graph -> its first stored shape
     for s in ts.states.values():
         t = first.setdefault((frozenset(s.labels.items()), s.edges), s)
-        assert s.labels is t.labels and s.edges is t.edges
+        assert s.labels is t.labels and s.edges is t.edges and s.keys is t.keys
         assert s.slots.keys() == t.slots.keys()
         assert all(k is t_k for k, t_k in zip(s.slots, t.slots))
+        assert type(s.mults) is tuple and len(s.mults) == len(s.labels) + len(s.keys)
+        assert s.mults == (*s.node_mult.values(), *s.slots.values())
+        assert not {"node_mult", "slots"} & vars(s).keys()
+        assert [k for k, v in vars(s).items() if isinstance(v, dict)] in (
+            ["labels"], ["labels", "colours"])   # a graph's colouring, computed on one shape
+        assert s.entry == [s.labels, s.edges, s.keys, None, None]
     assert (len(ts.states), len(first)) == (stored, graphs)
     assert len({id(s.labels) for s in ts.states.values()}) == graphs
+    assert len({id(s.keys) for s in ts.states.values()}) == graphs
 
 
 @pytest.mark.parametrize("subsumption", [True, False])
@@ -917,6 +952,12 @@ NO_BARE_SPLIT = ("rules", "materialise", "([None] if lo == 0 else [])", "[]")
 FOLD_BY_LABELS = ("shapes", "normalise", "if sig == last:", "if last and sig[0] == last[0]:")
 REUSE_WITHOUT_LABELS = ("shapes", "normalise", "known[0] == row and known[1] == s.labels[v]",
                         "known[0] == row")
+# the entry also keeps its first shape's tuple, and every later shape of
+# the graph takes it
+FIRST_TUPLE = ("explore", "_entry", "[s.labels, s.edges, s.keys, None, None]",
+               "[s.labels, s.edges, s.keys, None, None, s.mults]",
+               "s.labels, s.edges, s.keys = s.entry[:3]",
+               "s.labels, s.edges, s.keys, s.mults = s.entry[:3] + s.entry[5:]")
 
 
 def simulated(name):
@@ -983,6 +1024,9 @@ MUTANTS = {
     # two pairs of firewall-2's stored graphs differ only in label sets:
     # keyed without them, a later shape takes an earlier one's labels
     "intern-key-without-labels-firewall-2": (GRAPH_WITHOUT_LABEL_SETS, functools.partial(
+        stores_what_it_is_given, FIREWALL2, strategy="bfs", subsumption=False)),
+    # a stored shape keeps the multiplicities of the first shape of its graph
+    "intern-first-tuple-firewall-2": (FIRST_TUPLE, functools.partial(
         stores_what_it_is_given, FIREWALL2, strategy="bfs", subsumption=False)),
     # a collector always keeps a remainder: 5 concrete steps unsimulated
     "materialise-no-bare-split-firewall-2": (NO_BARE_SPLIT, functools.partial(

@@ -9,7 +9,7 @@ from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         bundled_grammar_names, canonical, certificate,
                         compare_shapes, covered, explore, graph, isomorphisms,
                         load_bundled, normalise, parse_grammar, subsumes, unary)
-from shapespace.shapes import Frame, _concrete, signatures
+from shapespace.shapes import Frame, _concrete, canonical_order, signatures
 
 from conftest import (MARK, UNARY, concretises, cycles, narrowed, neighbourhood_partition,
                       normalise_agrees, permuted, random_graph, random_grammar_text,
@@ -227,11 +227,16 @@ def test_compare_shapes_agrees_with_edgewise_check(rng):
 
 def coordinate_compare(s, t, first):
     """``(s below t, t below s)`` as the store decides it, in the frame
-    that ``first`` (a shape over an isomorphic graph) opened; and
-    whether that frame has an automorphism besides the identity."""
-    frame = Frame(first, canonical(first)[1])
-    old = frame.orbit(t, canonical(t)[1])[0]
-    return frame.compare(frame.orbit(s, canonical(s)[1]), old), bool(frame.perms)
+    that ``first`` (a shape over an isomorphic graph) opened, each shape
+    in stored form and read in its canonical order; and whether that
+    frame has an automorphism besides the identity."""
+    s, t, first = (Shape.stored(x.labels, x.edges, tuple(x.slots),
+                                (*map(x.node_mult.get, x.labels), *x.slots.values()))
+                   for x in (s, t, first))
+    frame = Frame(first, canonical_order(first, canonical(first)[1]))
+    old = frame.orbit(t, canonical_order(t, canonical(t)[1]))[0]
+    return (frame.compare(frame.orbit(s, canonical_order(s, canonical(s)[1])), old),
+            bool(frame.perms))
 
 
 def with_mult(s, v, mu):
