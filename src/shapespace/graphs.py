@@ -10,15 +10,18 @@ equality.
 
 Labels are interned: one object per text and arity, compared and
 hashed by identity.  Each record keeps its stable colouring
-(``colours``) once computed.  The canonical form refines once per
-record and branches only on cells of several twin classes; a cell of
-twins is made discrete in one step.  One backtracking search,
-``morphisms``, serves rule matching, negative conditions and
-isomorphism.
+(``colours``) once computed, which ``twins`` reads; after its first
+round, refinement signs only cells next to a node that changed colour.
+The canonical form refines once per record and branches only on cells
+of several twin classes; cells of twins before the first such cell
+are made discrete in one pass.  One backtracking search, ``morphisms``,
+serves rule matching, negative conditions and isomorphism; a ``Graph``
+pattern, such as a rule's left-hand side, keeps its search plan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -147,28 +150,38 @@ def graph(nodes, edges=()) -> Graph:
 
 
 def _refine(colour: dict, near: dict) -> dict:
-    """Refine ``colour`` until no cell splits.  A new colour is the rank
-    of a signature that leads with the old colour, so cells keep order;
-    a one-node cell cannot split and takes its rank with no signature."""
-    n = len(colour)
-    while True:
-        cells = {}
-        for v, c in colour.items():
-            cells.setdefault(c, []).append(v)
-        new, base = {}, 0
-        for c in sorted(cells):
-            vs = cells[c]
-            if len(vs) == 1:
-                new[vs[0]] = base
-                base += 1
+    """Refine ``colour`` until no cell splits; a node's colour is then the
+    rank of its cell.  Meanwhile a cell's colour is its first position,
+    and a split cell's parts take positions inside it in signature order,
+    so cells keep order and only split-off parts change colour.  After
+    the first round only cells next to a node that changed colour are
+    signed: the others' members keep their equal signatures."""
+    n, cells, first, at = len(colour), {}, {}, 0
+    for v, c in colour.items():
+        cells.setdefault(c, []).append(v)
+    for c in sorted(cells):
+        first[c], at = at, at + len(cells[c])
+    colour = {v: first[c] for v, c in colour.items()}
+    cells = {first[c]: vs for c, vs in cells.items()}
+    todo = list(cells)
+    while todo:
+        moved = {}
+        for c in todo:
+            if len(vs := cells[c]) == 1:
                 continue
-            sig = {v: tuple(sorted([t * n + colour[w] for t, w in near[v]])) for v in vs}
-            rank = {s: i for i, s in enumerate(sorted(set(sig.values())), base)}
-            new.update((v, rank[s]) for v, s in sig.items())
-            base += len(rank)
-        colour = {v: new[v] for v in colour}
-        if base == len(cells):
-            return colour
+            parts = {}
+            for v in vs:
+                parts.setdefault(tuple(sorted([t * n + colour[w] for t, w in near[v]])), []).append(v)
+            at = c
+            for s in sorted(parts):
+                cells[at] = part = parts[s]
+                if at != c:
+                    moved.update(dict.fromkeys(part, at))
+                at += len(part)
+        colour.update(moved)
+        todo = {colour[w] for v in moved for _, w in near[v]}
+    rank = {c: i for i, c in enumerate(sorted(cells))}
+    return {v: rank[c] for v, c in colour.items()}
 
 
 @cache
@@ -227,25 +240,26 @@ def canonical(g: Labelled):
 
 def _least(colour, near, edges, t):
     """``canonical``'s least leaf below ``colour``: its code and labelling."""
-    n = len(colour)
-    while True:
-        cells = {}
-        for v, c in colour.items():
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            return sorted([(colour[v] * t + k) * n + colour[w]
-                           for v, k, w in edges]), colour
-        x = min(c for c, vs in cells.items() if len(vs) > 1)
-        reps = {_twin_key(v, near): v for v in cells[x]}
-        if len(reps) > 1:
-            break
-        # One twin class: consecutive colours, last node first, as
-        # individualising the class's representative (the cell's
-        # last node) level by level would give them.
-        k = len(cells[x]) - 1
-        pos = {v: x + k - i for i, v in enumerate(cells[x])}
-        colour = {u: pos[u] if c == x else c + k * (c > x)
-                  for u, c in colour.items()}
+    n, cells = len(colour), {}
+    for v, c in colour.items():
+        cells.setdefault(c, []).append(v)
+    new, shift, x = {}, 0, None   # x: the first cell of several twin classes
+    for c, vs in sorted(cells.items()):
+        if x is None and len(vs) > 1:
+            reps = {_twin_key(v, near): v for v in vs}
+            if len(reps) > 1:
+                x = c + shift
+            else:
+                # One twin class: consecutive colours, last node first, as
+                # individualising its last node level by level would give.
+                new.update(zip(reversed(vs), range(c + shift, c + shift + len(vs))))
+                shift += len(vs) - 1
+                continue
+        for v in vs:
+            new[v] = c + shift
+    colour = {v: new[v] for v in colour}
+    if x is None:
+        return sorted([(colour[v] * t + k) * n + colour[w] for v, k, w in edges]), colour
     return min((_least(_refine({u: c + (c > x or (c == x and u != v))
                                 for u, c in colour.items()}, near), near, edges, t)
                 for v in reps.values()), key=lambda r: r[0])
@@ -258,10 +272,14 @@ def _twin_key(v, near) -> frozenset:
 
 def twins(g: Labelled) -> dict:
     """Node -> number of its twin class.  Twins have the same label set
-    and the same labelled neighbours, so swapping two is an automorphism."""
-    classes, near = {}, _near(g)[1]
-    return {v: classes.setdefault((g.labels[v], _twin_key(v, near)), len(classes))
-            for v in g.labels}
+    and the same labelled neighbours, so swapping two is an automorphism.
+    Twins share a stable colour, so only a colour of several nodes needs
+    twin keys; a node alone in its colour is its own class."""
+    colour, classes = g.colours, {}
+    size = Counter(colour.values())
+    near = _near(g)[1] if len(size) < len(colour) else None
+    return {v: classes.setdefault(c if size[c] == 1 else (c, _twin_key(v, near)), len(classes))
+            for v, c in colour.items()}
 
 
 def certificate(g: Labelled) -> str:
@@ -291,24 +309,30 @@ def morphisms(pattern: Labelled, host: Labelled, injective: bool,
     exactly the ascending host nodes that pass that edge's check, so the
     maps and their order are unchanged.  The index of those ends is
     built once per ``ends`` dict.  Explicit candidates are tried as given.
+    The plan of a default search (placement order, per-level edge checks,
+    anchors) depends on the pattern alone, so a ``Graph`` keeps it.
     """
     want, have = pattern.labels, host.labels
-    anchors = {}   # node -> (earlier node, label, direction of its edges)
-    if candidates is None:
-        every = sorted(have)
-        candidates = {v: every for v in want}
-        for (a, l, b) in sorted(pattern.edges, key=lambda e: (e[0], e[1].text, e[2])):
+    default = candidates is None
+    if default:
+        candidates = dict.fromkeys(want, sorted(have))
+    # a default search keeps its plan on a Graph; a shape is rewritten in place
+    kept = vars(pattern) if default and isinstance(pattern, Graph) else {}
+    if "plan" not in kept:
+        free = sorted(want, key=lambda v: (len(candidates[v]), v))
+        rank, checks, anchors = {v: i for i, v in enumerate(free)}, [[] for _ in free], {}
+        for (v, l, w) in pattern.edges:
+            checks[max(rank[v], rank[w])].append((v, l, w))
+        ordered = sorted(pattern.edges, key=lambda e: (e[0], e[1].text, e[2])) if default else ()
+        for (a, l, b) in ordered:   # anchors: node -> (earlier node, label, direction)
             v, u = (a, b) if a > b else (b, a)
             if a != b and v not in anchors:
                 anchors[v] = (u, l, "in" if v == a else "out")
-    free = sorted(want, key=lambda v: (len(candidates[v]), v))
+        kept["plan"] = free, checks, anchors
+    free, checks, anchors = kept["plan"]
     if not free:
         yield {}
         return
-    rank = {v: i for i, v in enumerate(free)}
-    checks = [[] for _ in free]
-    for (v, l, w) in pattern.edges:
-        checks[max(rank[v], rank[w])].append((v, l, w))
     edges = host.edges
     ends = {} if ends is None else ends   # (host node, label, direction) -> the other ends
     if anchors and not ends:

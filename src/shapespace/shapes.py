@@ -13,7 +13,6 @@ isomorphism search take the shape itself.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 from .graphs import Graph, Labelled, _texts, isomorphisms
@@ -56,6 +55,7 @@ class Shape(Labelled):
     def stored(labels, edges, keys, mults) -> Shape:
         s = object.__new__(_Stored)
         s.labels, s.edges, s.keys, s.mults = labels, edges, keys, mults
+        s._hash = _hash(labels, edges, zip((*labels, *keys), mults))
         return s
 
     def __eq__(self, other):   # stored shapes compare tuples; a branch, its dicts
@@ -66,14 +66,8 @@ class Shape(Labelled):
         return (self.mults, self.keys, self.edges, self.labels) == (
             other.mults, other.keys, other.edges, other.labels)
 
-    @functools.cached_property
-    def _hash(self) -> int:   # by (node or slot, multiplicity) pairs, whatever the form
-        pairs = ((*self.node_mult.items(), *self.slots.items()) if self.mults is None
-                 else zip((*self.labels, *self.keys), self.mults))
-        return hash((frozenset(self.labels.items()), frozenset(self.edges), frozenset(pairs)))
-
-    def __hash__(self):
-        return self._hash
+    def __hash__(self):   # a branch's; a stored shape's is kept (``_Stored``)
+        return _hash(self.labels, self.edges, (*self.node_mult.items(), *self.slots.items()))
 
     def __repr__(self):
         return f"Shape({len(self.labels)} nodes, {len(self.edges)} edges)"
@@ -82,6 +76,13 @@ class Shape(Labelled):
 class _Stored(Shape):   # a __getattr__ on Shape would slow every read of a branch's fields
     node_mult = property(lambda s: dict(zip(s.labels, s.mults)))
     slots = property(lambda s: dict(zip(s.keys, s.mults[len(s.labels):])))
+
+    def __hash__(self):   # kept since ``Shape.stored``
+        return self._hash
+
+
+def _hash(labels, edges, pairs) -> int:   # by (node or slot, multiplicity) pairs, whatever the form
+    return hash((frozenset(labels.items()), frozenset(edges), frozenset(pairs)))
 
 
 def neighbour_index(labels, edges) -> dict:

@@ -22,7 +22,7 @@ import pytest
 from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         Graph, GraphError, Label, Shape, ShapeError, add, binary,
                         canonical, compare_shapes, explore, graph, parse_grammar, unary)
-from shapespace.graphs import morphisms
+from shapespace.graphs import _near, _twin_key, morphisms
 from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
 from shapespace.shapes import _concrete, edge_slots, neighbour_index, signatures
@@ -406,6 +406,15 @@ def reference_refine(colour: dict, near: dict) -> dict:
         if len(rank) == cells:
             return colour
         cells = len(rank)
+
+
+def reference_twins(g) -> dict:
+    """Twin classes by their definition, with no colouring: node ->
+    number of its class, nodes of one class having the same label set
+    and the same labelled neighbours (``graphs._twin_key``)."""
+    classes, near = {}, _near(g)[1]
+    return {v: classes.setdefault((g.labels[v], _twin_key(v, near)), len(classes))
+            for v in g.labels}
 
 
 def cycles(*lengths, both_ways=False):

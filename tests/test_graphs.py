@@ -11,13 +11,14 @@ import pytest
 from shapespace import (ExploreConfig, Graph, GraphError, Label, abstract, binary,
                         bundled_grammar_names, canonical, certificate, explore,
                         find_isomorphism, graph, isomorphisms, load_bundled,
-                        unary)
+                        parse_grammar, unary)
 from shapespace import graphs
 from shapespace.graphs import morphisms
+from shapespace.shapes import _concrete
 
 from conftest import (BINARY, UNARY, brute_force_isomorphism, cycles, inverse,
                       is_morphism, permuted, random_graph, reference_morphisms,
-                      reference_refine, relabel, star, union)
+                      reference_refine, reference_twins, relabel, star, union)
 
 A, B = UNARY
 e, f = BINARY
@@ -152,6 +153,96 @@ def test_morphisms_match_the_search_that_tries_every_host_node(injective):
     assert min(found.values()) >= 100 and len(found) == 4
 
 
+@pytest.mark.parametrize("injective", [True, False])
+def test_a_graph_pattern_keeps_its_plan_and_the_maps_stay_the_same(injective):
+    # A default search makes its plan on its first call and keeps it on
+    # the Graph pattern; both calls give the unanchored search's maps in
+    # its order, and the second reads the kept plan.
+    rng = random.Random(20261021)
+    found = 0
+    for _ in range(200):
+        host = permuted(rng, random_graph(rng, max_nodes=7, edge_prob=0.35))
+        patterns = [random_graph(rng, max_nodes=4, edge_prob=0.25),
+                    *(Graph(dict(p.labels), p.edges) for p in ODD_PATTERNS)]
+        for pattern in patterns:
+            want = list(reference_morphisms(pattern, host, injective))
+            assert "plan" not in vars(pattern)
+            assert list(morphisms(pattern, host, injective)) == want
+            plan = vars(pattern)["plan"]
+            assert list(morphisms(pattern, host, injective)) == want
+            assert vars(pattern)["plan"] is plan
+            found += len(want)
+    assert found >= 500
+    vars(pattern)["plan"] = ([], [], {})   # placing no node: the one empty map
+    assert list(morphisms(pattern, host, injective)) == [{}]
+
+
+NAC_GRAMMAR = """label L unary
+label P unary
+label at binary
+graph
+  node l L
+  node m L
+  node p P
+  edge p -at-> l
+rule add-packet
+  use node x L
+  new node y P
+  new edge y -at-> x
+  not node z P
+  not edge z -at-> x
+"""
+
+
+def test_explicit_candidate_searches_neither_read_nor_write_the_plan(rng):
+    # isomorphisms and negative conditions pass their candidates: a plan
+    # planted on their pattern (one that would yield only the empty map)
+    # changes nothing, and none is kept on a pattern that had none.
+    poison = ([], [], {})
+    for _ in range(100):
+        g = random_graph(rng, max_nodes=6)
+        h = permuted(rng, g)
+        assert find_isomorphism(g, h) is not None and "plan" not in vars(g)
+        vars(g)["plan"] = poison
+        phi = find_isomorphism(g, h)
+        assert is_morphism(phi, g, h) and is_morphism(inverse(phi), h, g)
+    counts = []
+    for planted in (False, True):
+        grammar = parse_grammar(NAC_GRAMMAR)
+        (rule,) = grammar.rules
+        nac = rule._nac[0]
+        if planted:
+            vars(nac)["plan"] = poison
+        ts, stats = explore(grammar, ExploreConfig(engine="concrete"))
+        assert "plan" in vars(rule.lhs) and vars(nac).get("plan") is (poison if planted else None)
+        counts.append((stats.generated, stats.transitions_generated))
+    assert counts == [(2, 1)] * 2   # the empty location gains a packet, then no match
+
+
+def test_no_shape_keeps_a_plan(rng):
+    # A shape is rewritten in place, so an abstract run keeps plans only
+    # on its rules' left-hand sides, and a shape searched as a pattern,
+    # then given one more edge, gives the maps of its new edges.
+    for name in bundled_grammar_names():
+        grammar = load_bundled(name)
+        ts, _ = explore(grammar, ExploreConfig(max_depth=4, max_states=200))
+        assert not any("plan" in vars(s) for s in ts.states.values())
+        assert any("plan" in vars(rule.lhs) for rule in grammar.rules)
+    changed = 0
+    for _ in range(300):
+        host = random_graph(rng, max_nodes=6, edge_prob=0.4)
+        s = _concrete(random_graph(rng, max_nodes=4, edge_prob=0.2))
+        if not s.labels:
+            continue
+        before = list(morphisms(s, host, True))
+        assert "plan" not in vars(s) and before == list(reference_morphisms(s, host, True))
+        s.edges = set(s.edges) | {(rng.choice(list(s.labels)), e, rng.choice(list(s.labels)))}
+        after = list(morphisms(s, host, True))
+        assert after == list(reference_morphisms(s, host, True))
+        changed += after != before
+    assert changed >= 25
+
+
 # --- certificates ---------------------------------------------------------
 
 
@@ -198,12 +289,29 @@ def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
     assert colours == fresh.colours and cert == certificate(fresh)
 
 
+def tailed_path(rng, n, loop):
+    """``n`` nodes on an ``e``-path, each edge pointing either way, or
+    both; with ``loop``, its last node also points back into it, making
+    a cycle with a tail.  Refinement takes up to about n/2 rounds."""
+    edges = []
+    for i in range(n - 1):
+        ends = [(i, e, i + 1), (i + 1, e, i)]
+        edges += rng.choice([ends[:1], ends[1:], ends])
+    if loop:
+        edges.append((n - 1, e, rng.randrange(n - 2)))
+    return permuted(rng, graph(range(n), edges))
+
+
 def test_refine_matches_the_oracle_that_signs_every_node():
     # Random graphs of up to 12 nodes, a third of them 1-12 nodes in
     # disjoint directed cycles (one colour class), each from a random
-    # dense colouring in a random node order: the cell-wise refinement
-    # gives the oracle's dict, colours and key order alike.
+    # dense colouring in a random node order; paths and cycles with a
+    # tail of 20-200 nodes, which need many rounds; and stable colourings
+    # with one node individualised, as ``_least`` passes them: the
+    # refinement that signs only cells next to a changed colour gives
+    # the oracle's dict, colours and key order alike.
     rng = random.Random(20)
+    inputs = []
     for i in range(3000):
         if i % 3:
             g = random_graph(rng, max_nodes=12, edge_prob=rng.choice([0.1, 0.3]))
@@ -217,7 +325,22 @@ def test_refine_matches_the_oracle_that_signs_every_node():
         k = rng.randint(1, max(len(nodes), 1))
         drawn = {v: rng.randrange(k) for v in nodes}
         dense = {c: k for k, c in enumerate(sorted(set(drawn.values())))}
-        colour = {v: dense[drawn[v]] for v in nodes}
+        inputs.append((g, {v: dense[drawn[v]] for v in nodes}))
+    for n in (20, 21, 50, 99, 200):
+        for loop in (False, True):
+            g = tailed_path(rng, n, loop)
+            inputs.append((g, dict.fromkeys(g.labels, 0)))
+    individualised = 0
+    for g, _ in list(inputs):
+        shared = [c for c, size in Counter(g.colours.values()).items() if size > 1]
+        if shared:
+            x = rng.choice(shared)
+            v = rng.choice([u for u, c in g.colours.items() if c == x])
+            inputs.append((g, {u: c + (c > x or (c == x and u != v))
+                               for u, c in g.colours.items()}))
+            individualised += 1
+    assert individualised >= 900
+    for g, colour in inputs:
         near = graphs._near(g)[1]
         got, want = graphs._refine(dict(colour), near), reference_refine(dict(colour), near)
         assert list(got.items()) == list(want.items())
@@ -354,6 +477,33 @@ def test_twin_class_sizes_do_not_depend_on_numbering(rng):
     assert twin_class_sizes(looped_star(A, A, A)) == [1, 3]
     g = star(A, A, A)
     assert twin_class_sizes(Graph(g.labels, g.edges | {(1, f, 1)})) == [1, 1, 2]
+
+
+def partition(classes: dict) -> list:
+    """The blocks of a node -> class map, whatever the class numbers."""
+    blocks = {}
+    for v, c in classes.items():
+        blocks.setdefault(c, []).append(v)
+    return sorted(sorted(vs) for vs in blocks.values())
+
+
+def test_twins_from_the_colouring_match_the_oracle_that_reads_none(rng):
+    # The same classes as keying every node by its label set and its
+    # labelled neighbours: on random and twin-rich graphs, half of them
+    # with their colouring computed beforehand, and on every stored state
+    # of concrete firewall-6F to depth 8, which holds its colouring.
+    samples = [make(rng) for make in (random_graph, twin_rich) for _ in range(300)]
+    for g in samples[::2]:
+        g.colours
+    ts, _ = explore(load_bundled("firewall-6F"), ExploreConfig(engine="concrete", max_depth=8))
+    stored = list(ts.states.values())
+    assert len(stored) == 690 and all("colours" in vars(g) for g in stored)
+    uncached = shared = 0
+    for g in samples + stored:
+        uncached += "colours" not in vars(g)
+        assert partition(graphs.twins(g)) == partition(reference_twins(g))
+        shared += len(set(g.colours.values())) < len(g.labels)
+    assert uncached == 300 and shared >= 700
 
 
 def shuffled_labels(rng, g):
