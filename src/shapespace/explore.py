@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import resource
 import time
+from array import array
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 
@@ -75,19 +76,30 @@ class TransitionSystem:
 
     A transition is ``(src id, (rule name, match descriptor), tgt id)``
     where the descriptor is the sorted rule-node -> state-node pairing.
+    They are kept as integers: ``arcs`` is one flat array of (source id,
+    label number, target id), ``labels`` the distinct labels by number,
+    and ``transitions`` builds the set of triples when read.
     """
 
     states: dict = field(default_factory=dict)
-    transitions: set = field(default_factory=set)
+    arcs: array = field(default_factory=lambda: array("I"))
+    labels: list = field(default_factory=list)
     start: int = 0
     marked: set = field(default_factory=set)
+
+    @property
+    def transitions(self) -> set:
+        a = self.arcs
+        return set(zip(a[::3], map(self.labels.__getitem__, a[1::3]), a[2::3]))
 
     def relevant_states(self):
         return sorted(i for i in self.states if i not in self.marked)
 
     def audit(self, engine):
         """No stored pair may coincide (``engine.coincide``): an
-        isomorphism search, independent of the store's identities."""
+        isomorphism search, independent of the store's identities.  It
+        drops the colourings it computed: a state keeps one only if it had one."""
+        bare = [s for s in self.states.values() if "colours" not in vars(s)]
         groups = {}
         for i, s in self.states.items():
             groups.setdefault((len(s.edges), *sorted(s.colours.values())), []).append(i)
@@ -95,6 +107,8 @@ class TransitionSystem:
             for i, j in itertools.combinations(ids, 2):
                 if engine.coincide(self.states[i], self.states[j]):
                     raise ExploreError(f"stored states {i} and {j} coincide")
+        for s in bare:
+            vars(s).pop("colours", None)
 
 
 # --- engines --------------------------------------------------------------
@@ -109,7 +123,8 @@ class ConcreteEngine:
     the rule is applied once per such orbit, and that one ``Graph`` is
     the target of every match in the orbit, each under its own
     transition label; the rules' searches share one index of the state's
-    edges.  The store certifies a record once (``_Store``)."""
+    edges.  The store certifies a record once (``_Store``); ``twins`` is the
+    run's last read of the colouring it kept, so an expanded state drops it."""
 
     bucket = None
 
@@ -128,6 +143,7 @@ class ConcreteEngine:
 
     def successors(self, g: Graph):
         twin, ends = twins(g), {}   # ends: the searches' index, built once
+        vars(g).pop("colours", None)
         out = []
         for rule in self.grammar.rules:
             made = {}   # orbit: the twin classes of the images -> successor
@@ -298,8 +314,10 @@ def explore(grammar, config: ExploreConfig):
     """Explore ``grammar``'s state space; returns (TransitionSystem, stats).
 
     The store writes ``ts.states`` and ``ts.marked``, the loop writes
-    ``ts.transitions`` and ``stats``.  ``waiting`` maps each state still
-    to expand to its depth; the frontier keeps their order."""
+    ``ts.arcs``, ``ts.labels`` and ``stats``.  A state is expanded once,
+    so a repeated transition can only come from one expansion, whose
+    ``arcs`` keep it once.  ``waiting`` maps each state still to expand to
+    its depth; the frontier keeps their order."""
     t0, rss0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     engine = make_engine(grammar, config.engine)
     stats = ExplorationStats(grammar.name,
@@ -311,7 +329,7 @@ def explore(grammar, config: ExploreConfig):
 
     frontier = deque([ts.start])
     waiting = {ts.start: 0}
-    labels = {}   # one object per distinct label of a stored transition
+    numbers = {}   # label -> its number: one per distinct label of a stored transition
     complete = True
 
     while frontier:
@@ -327,11 +345,12 @@ def explore(grammar, config: ExploreConfig):
             continue
         if config.max_depth is not None and d >= config.max_depth:
             continue
+        arcs = {}   # this expansion's (source, label number, target), each once
         for (label, succ) in engine.successors(ts.states[i]):
             stats.transitions_generated += 1
             was_fresh, j, below = store.add(succ)
             if config.mode == "full":
-                ts.transitions.add((i, labels.setdefault(label, label), j))
+                arcs[i, numbers.setdefault(label, len(numbers)), j] = None
             if was_fresh:
                 stats.generated += 1
                 waiting[j] = d + 1
@@ -339,14 +358,15 @@ def explore(grammar, config: ExploreConfig):
             for k in below:
                 stats.subsumed += 1
                 stats.discarded += waiting.pop(k, None) is not None
+        ts.arcs.extend(itertools.chain.from_iterable(arcs))
 
     for entry in getattr(engine, "graphs", {}).values():   # the memo ends with the run
         entry[3] = entry[4] = None
     if not config.subsumption:
         stats.maximum = stats.generated
+    ts.labels = list(numbers)
     stats.relevant = stats.generated - stats.subsumed
-    stats.transitions_relevant = sum(
-        1 for (src, _, _) in ts.transitions if src not in ts.marked)
+    stats.transitions_relevant = sum(1 for src in ts.arcs[::3] if src not in ts.marked)
     stats.complete = complete
     stats.time_ms = int((time.perf_counter() - t0) * 1000)
     stats.peak_mem_bytes = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0) * 1024

@@ -143,21 +143,33 @@ def test_concrete_engine_certifies_no_record_twice(monkeypatch, name, strategy):
 def test_remembered_duplicates_keep_no_colouring(monkeypatch):
     # firewall-6F to depth 8: the store remembers the records of 843
     # dropped duplicates, and none keeps the colouring its certificate
-    # computed; the stored records keep theirs
+    # computed; nor do the 396 expanded stored records, whose twin
+    # classes were the colouring's last read.  The 294 stored records at
+    # depth 8, never expanded, keep theirs.
     explore_module = importlib.import_module("shapespace.explore")
-    stores, init = [], explore_module._Store.__init__
+    stores, expanded = [], []
+    init, successors = explore_module._Store.__init__, explore_module.ConcreteEngine.successors
 
     def recording_init(self, *args):
         init(self, *args)
         stores.append(self)
 
+    def recording_successors(self, g):
+        expanded.append(g)
+        return successors(self, g)
+
     monkeypatch.setattr(explore_module._Store, "__init__", recording_init)
+    monkeypatch.setattr(explore_module.ConcreteEngine, "successors", recording_successors)
     ts, _ = run(load_bundled("firewall-6F"), engine="concrete", max_depth=8)
     stored = {id(g) for g in ts.states.values()}
     remembered = [g for g in stores[0].live if isinstance(g, Graph) and id(g) not in stored]
     assert len(remembered) == 843
     assert not any("colours" in vars(g) for g in remembered)
-    assert all("colours" in vars(g) for g in ts.states.values())
+    done = {id(g) for g in expanded}
+    assert len(done) == len(expanded) == 396 and done <= stored
+    assert not any("colours" in vars(g) for g in expanded)
+    unexpanded = [g for g in ts.states.values() if id(g) not in done]
+    assert len(unexpanded) == 294 and all("colours" in vars(g) for g in unexpanded)
 
 
 @pytest.mark.parametrize("name", bundled_grammar_names())
@@ -313,6 +325,86 @@ def test_transitions_relevant_counts_relevant_sources():
     assert st.transitions_relevant <= st.transitions_generated
 
 
+def recorded_run(monkeypatch, grammar, **kw):
+    """``run``, and the set of transitions rebuilt outside the loop: each
+    expansion's labels, paired in order with the ids that ``_Store.add``
+    returns for its successors, as ``(source id, label, target id)``;
+    and how many (label, successor) pairs repeat within an expansion."""
+    explore_module = importlib.import_module("shapespace.explore")
+    engine = ENGINES[kw.get("engine", ExploreConfig.engine)]
+    successors, add = engine.successors, explore_module._Store.add
+    ids, pending, triples, repeats = {}, [], set(), [0]
+
+    def recording_successors(self, state):
+        out = successors(self, state)
+        repeats[0] += len(out) - len(set(out))
+        pending[:] = [(ids[id(state)][0], label, succ) for label, succ in reversed(out)]
+        return out
+
+    def recording_add(self, state):
+        fresh, i, _ = result = add(self, state)
+        if fresh:   # the state is kept alive, so its id is not reused
+            ids[id(state)] = i, state
+        if pending:
+            src, label, succ = pending.pop()
+            assert succ is state
+            triples.add((src, label, i))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "successors", recording_successors)
+        m.setattr(explore_module._Store, "add", recording_add)
+        ts, st = run(grammar, **kw)
+    assert not pending
+    return ts, st, triples, repeats[0]
+
+
+def assert_recorded_triples(ts, st, triples):
+    # the flat array holds each recorded triple once, and nothing else
+    a = ts.arcs
+    assert ts.transitions == triples
+    assert len(set(zip(a[::3], a[1::3], a[2::3]))) == len(a) // 3 == len(triples)
+    assert st.transitions_relevant == sum(1 for src, _, _ in triples if src not in ts.marked)
+
+
+@pytest.mark.parametrize("subsumption", [True, False], ids=["subsume", "strict"])
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("engine", ["abstract", "concrete"])
+@pytest.mark.parametrize("name", bundled_grammar_names())
+def test_transitions_are_the_recorded_triples(monkeypatch, name, engine, strategy, subsumption):
+    # The loop keeps transitions as integers; read back, they are the set
+    # of (source, label, target) triples of every expansion
+    limits = {"max_states": 300} if engine == "abstract" else {"max_depth": 5}
+    ts, st, triples, _ = recorded_run(monkeypatch, load_bundled(name), engine=engine,
+                                      strategy=strategy, subsumption=subsumption, **limits)
+    assert triples and len(ts.labels) == len({label for _, label, _ in triples})
+    assert_recorded_triples(ts, st, triples)
+    ts, st, triples, _ = recorded_run(monkeypatch, load_bundled(name), engine=engine,
+                                      strategy=strategy, subsumption=subsumption,
+                                      mode="reach", **limits)
+    assert triples and not ts.arcs and not ts.labels and ts.transitions == set()
+
+
+# Random grammars whose expansions repeat a (label, successor) pair at
+# depth 3 (ROADMAP item 7): 5 of seeds 0-299, as two branches of one
+# match normalise to one shape.
+DUPLICATE_BRANCH_SEEDS = (1, 34, 66, 162, 209)
+
+
+@pytest.mark.parametrize("seed", sorted({*range(0, 300, 25), *DUPLICATE_BRANCH_SEEDS}))
+def test_transitions_are_the_recorded_triples_on_random_grammars(monkeypatch, seed):
+    grammar = parse_grammar(random_grammar_text(seed))
+    repeated = 0
+    for engine, strategy, subsumption in itertools.product(
+            ENGINES, ("bfs", "dfs"), (True, False)):
+        ts, st, triples, repeats = recorded_run(
+            monkeypatch, grammar, engine=engine, strategy=strategy,
+            subsumption=subsumption, max_depth=3)
+        assert_recorded_triples(ts, st, triples)
+        repeated += repeats
+    assert (repeated > 0) == (seed in DUPLICATE_BRANCH_SEEDS)
+
+
 # --- store audit ----------------------------------------------------------
 
 
@@ -326,6 +418,21 @@ def test_no_stored_pair_strictly_isomorphic(grammar, engine):
     for cfg in all_configs():
         ts, _ = run(grammar, **{**cfg, "engine": engine, **limits})
         ts.audit(make_engine(grammar, engine))
+
+
+@pytest.mark.parametrize("engine, name, limits", [
+    ("abstract", "firewall-4", {"strategy": "dfs"}),
+    ("concrete", "firewall-6F", {"max_depth": 8})])
+def test_audit_leaves_no_colouring_behind(engine, name, limits):
+    # The audit reads every stored state's colouring and drops those it
+    # computed: a state keeps one afterwards exactly when it did before.
+    # Here some do (a bucket's first shape, an unexpanded graph) and
+    # some do not.
+    ts, _ = run(load_bundled(name), engine=engine, **limits)
+    before = {i: "colours" in vars(s) for i, s in ts.states.items()}
+    assert any(before.values()) and not all(before.values())
+    ts.audit(make_engine(load_bundled(name), engine))
+    assert {i: "colours" in vars(s) for i, s in ts.states.items()} == before
 
 
 def test_audit_flags_duplicates():

@@ -1,6 +1,7 @@
 """Graphs, morphisms, certificates and isomorphism search."""
 
 import copy
+import importlib
 import itertools
 import pickle
 import random
@@ -487,23 +488,36 @@ def partition(classes: dict) -> list:
     return sorted(sorted(vs) for vs in blocks.values())
 
 
-def test_twins_from_the_colouring_match_the_oracle_that_reads_none(rng):
+def test_twins_from_the_colouring_match_the_oracle_that_reads_none(rng, monkeypatch):
     # The same classes as keying every node by its label set and its
     # labelled neighbours: on random and twin-rich graphs, half of them
-    # with their colouring computed beforehand, and on every stored state
-    # of concrete firewall-6F to depth 8, which holds its colouring.
+    # with their colouring computed beforehand, and on every state that
+    # concrete firewall-6F to depth 8 expands, at the moment its
+    # expansion reads the colouring its certificate kept.
     samples = [make(rng) for make in (random_graph, twin_rich) for _ in range(300)]
     for g in samples[::2]:
         g.colours
-    ts, _ = explore(load_bundled("firewall-6F"), ExploreConfig(engine="concrete", max_depth=8))
-    stored = list(ts.states.values())
-    assert len(stored) == 690 and all("colours" in vars(g) for g in stored)
+    explore_module = importlib.import_module("shapespace.explore")
+    read, expanded = explore_module.twins, []
+
+    def checked_twins(g):
+        kept = "colours" in vars(g)
+        classes = read(g)
+        expanded.append((kept, partition(classes) == partition(reference_twins(g)),
+                         len(set(g.colours.values())) < len(g.labels)))
+        return classes
+
+    monkeypatch.setattr(explore_module, "twins", checked_twins)
+    explore(load_bundled("firewall-6F"), ExploreConfig(engine="concrete", max_depth=8))
+    assert len(expanded) == 396
+    assert all(kept and same for kept, same, _ in expanded)
     uncached = shared = 0
-    for g in samples + stored:
+    for g in samples:
         uncached += "colours" not in vars(g)
         assert partition(graphs.twins(g)) == partition(reference_twins(g))
         shared += len(set(g.colours.values())) < len(g.labels)
-    assert uncached == 300 and shared >= 700
+    shared += sum(twinned for _, _, twinned in expanded)
+    assert uncached == 300 and shared >= 450
 
 
 def shuffled_labels(rng, g):
