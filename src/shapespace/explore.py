@@ -123,8 +123,7 @@ class ConcreteEngine:
     the rule is applied once per such orbit, and that one ``Graph`` is
     the target of every match in the orbit, each under its own
     transition label; the rules' searches share one index of the state's
-    edges.  The store certifies a record once (``_Store``); ``twins`` is the
-    run's last read of the colouring it kept, so an expanded state drops it."""
+    edges.  The store certifies a record once (``_Store``)."""
 
     bucket = None
 
@@ -143,7 +142,6 @@ class ConcreteEngine:
 
     def successors(self, g: Graph):
         twin, ends = twins(g), {}   # ends: the searches' index, built once
-        vars(g).pop("colours", None)
         out = []
         for rule in self.grammar.rules:
             made = {}   # orbit: the twin classes of the images -> successor
@@ -244,8 +242,8 @@ class _Store:
     """State store with the two freshness policies: ``live`` maps the
     exact record and the identity of each unmarked state to its id (a
     normal shape is both), and an identity is computed only on a miss of
-    the record.  A duplicate found by its identity leaves its record, not
-    its colouring, in ``live``, so an equal record later needs no identity;
+    the record.  A duplicate found by its identity leaves its record in
+    ``live``, so an equal record later needs no identity;
     only the concrete engine's records differ from their identities, and
     it marks no state.  With subsumption on, ``buckets`` hold the unmarked
     states by their bucket key (``engine.bucket``, memoised by the shape's
@@ -274,9 +272,8 @@ class _Store:
         i = self.live.get(state)
         if i is None and (key := self.engine.identity(state)) is not state:
             i = self.live.get(key)
-            if i is not None:   # remember the duplicate's record, not its colouring
+            if i is not None:   # remember the duplicate's record
                 self.live[state] = i
-                vars(state).pop("colours", None)
         if i is not None:
             return False, i, ()
         members, orbit = {}, [None]

@@ -9,19 +9,19 @@ of graphs is structural under identical ids, isomorphism is the semantic
 equality.
 
 Labels are interned: one object per text and arity, compared and
-hashed by identity.  Each record keeps its stable colouring
-(``colours``) once computed, which ``twins`` reads; after its first
+hashed by identity.  A record keeps its stable colouring (``colours``)
+once computed, which only isomorphism search reads; after its first
 round, refinement signs only cells next to a node that changed colour.
-The canonical form refines once per record and branches only on cells
-of several twin classes; cells of twins before the first such cell
-are made discrete in one pass.  One backtracking search, ``morphisms``,
+``canonical`` and ``twins`` read the record alone and keep nothing on
+it.  The canonical form refines once and branches only on cells of
+several twin classes; cells of twins before the first such cell are
+made discrete in one pass.  One backtracking search, ``morphisms``,
 serves rule matching, negative conditions and isomorphism; a ``Graph``
 pattern, such as a rule's left-hand side, keeps its search plan.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -90,7 +90,7 @@ class Labelled:
     @cached_property
     def colours(self) -> dict:
         """Node -> stable colour, independent of numbering (``_refine``)."""
-        return _stable_colours(self)[0]
+        return _colours(self, _near(self)[1])
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,11 @@ def _near(g: Labelled):
     return tags, near
 
 
-def _stable_colours(g: Labelled):
-    """The stable colouring (refined once, then kept as ``g.colours``),
-    sorted unary label texts per node, and ``_near``'s two values."""
+def _colours(g: Labelled, near: dict) -> dict:
+    """The stable colouring of ``g``, its cells in label set order."""
     texts = {v: _texts(ls) for v, ls in g.labels.items()}
-    tags, near = _near(g)
-    colour = g.__dict__.get("colours")
-    if colour is None:   # refine at most once per record
-        order = sorted(set(texts.values()))
-        colour = _refine({v: order.index(ts) for v, ts in texts.items()}, near)
-        g.__dict__["colours"] = colour
-    return colour, texts, tags, near
+    order = sorted(set(texts.values()))
+    return _refine({v: order.index(ts) for v, ts in texts.items()}, near)
 
 
 def canonical(g: Labelled):
@@ -232,10 +226,10 @@ def canonical(g: Labelled):
     label sets and the leaf fix the graph: isomorphic graphs relabelled
     by their labellings are equal.
     """
-    colour, texts, tags, near = _stable_colours(g)
+    tags, near = _near(g)
     edges = [(v, c // 2, w) for v, ns in near.items() for c, w in ns if c % 2 == 0]
-    code, labelling = _least(colour, near, edges, len(tags))
-    return repr((len(g.labels), sorted(texts.values()), tags, code)), labelling
+    code, labelling = _least(_colours(g, near), near, edges, len(tags))
+    return repr((len(g.labels), sorted(map(_texts, g.labels.values())), tags, code)), labelling
 
 
 def _least(colour, near, edges, t):
@@ -272,14 +266,10 @@ def _twin_key(v, near) -> frozenset:
 
 def twins(g: Labelled) -> dict:
     """Node -> number of its twin class.  Twins have the same label set
-    and the same labelled neighbours, so swapping two is an automorphism.
-    Twins share a stable colour, so only a colour of several nodes needs
-    twin keys; a node alone in its colour is its own class."""
-    colour, classes = g.colours, {}
-    size = Counter(colour.values())
-    near = _near(g)[1] if len(size) < len(colour) else None
-    return {v: classes.setdefault(c if size[c] == 1 else (c, _twin_key(v, near)), len(classes))
-            for v, c in colour.items()}
+    and the same labelled neighbours, so swapping two is an automorphism."""
+    classes, near = {}, _near(g)[1]
+    return {v: classes.setdefault((ls, _twin_key(v, near)), len(classes))
+            for v, ls in g.labels.items()}
 
 
 def certificate(g: Labelled) -> str:

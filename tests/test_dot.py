@@ -3,7 +3,7 @@
 import re
 from collections import Counter
 
-from shapespace import (ExploreConfig, abstract, binary, explore, graph, graph_dot,
+from shapespace import (ExploreConfig, Shape, abstract, binary, explore, graph, graph_dot,
                         load_bundled, shape_dot, transition_system_dot, unary)
 
 
@@ -55,3 +55,19 @@ def test_shape_dot_draws_collectors_bold_and_both_slots_on_each_edge():
         '  n1 [label="P : 2+", style=bold, peripheries=2];',
         '  n1 -> n0 [label="at [1|2+]"];',   # [out-slot|in-slot]
         "}"]
+
+
+def test_shape_dot_reads_each_dict_of_a_stored_shape_once(monkeypatch):
+    # A stored shape builds ``node_mult`` and ``slots`` afresh on every
+    # read: the drawing reads each once, and draws what it draws of the
+    # same shape with its dicts as fields.
+    ts, _ = explore(load_bundled("firewall-3"), ExploreConfig(max_states=60))
+    states = list(ts.states.values())
+    want = [shape_dot(Shape(s.node_mult, s.labels, s.edges, s.slots)) for s in states]
+    reads, stored = Counter(), type(states[0])
+    for name in ("node_mult", "slots"):
+        read = getattr(stored, name).fget
+        monkeypatch.setattr(stored, name, property(
+            lambda s, read=read, name=name: reads.update([name]) or read(s)))
+    assert [shape_dot(s) for s in states] == want
+    assert reads == {"node_mult": len(states), "slots": len(states)} and len(states) > 50

@@ -274,7 +274,8 @@ def test_certificate_stable_across_runs():
 @pytest.mark.parametrize("certificate_first", [True, False])
 def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
     # a path: the stable colouring is discrete, so the certificate needs
-    # no individualisation and every refinement is the stable one
+    # no individualisation and refines once, keeping nothing on the
+    # record; ``colours`` refines once per record, whenever it is read
     calls = []
     refine = graphs._refine
     monkeypatch.setattr(graphs, "_refine", lambda *a: calls.append(1) or refine(*a))
@@ -282,11 +283,12 @@ def test_colours_refined_once_per_graph(monkeypatch, certificate_first):
     fresh = Graph(dict(g.labels), g.edges)
     if certificate_first:
         cert = certificate(g)
-        colours = g.colours
-    else:
-        colours = g.colours
+        assert len(calls) == 1 and "colours" not in vars(g)
+    colours = g.colours
+    assert g.colours is colours and len(calls) == 1 + certificate_first
+    if not certificate_first:
         cert = certificate(g)
-    assert len(calls) == 1
+    assert len(calls) == 2 and vars(g)["colours"] is colours
     assert colours == fresh.colours and cert == certificate(fresh)
 
 
@@ -488,12 +490,11 @@ def partition(classes: dict) -> list:
     return sorted(sorted(vs) for vs in blocks.values())
 
 
-def test_twins_from_the_colouring_match_the_oracle_that_reads_none(rng, monkeypatch):
-    # The same classes as keying every node by its label set and its
-    # labelled neighbours: on random and twin-rich graphs, half of them
-    # with their colouring computed beforehand, and on every state that
-    # concrete firewall-6F to depth 8 expands, at the moment its
-    # expansion reads the colouring its certificate kept.
+def test_twins_match_the_oracle_with_or_without_a_kept_colouring(rng, monkeypatch):
+    # The same classes as the oracle, which keys every node by its label
+    # set and its labelled neighbours: on random and twin-rich graphs,
+    # half of them with their colouring computed beforehand, and on
+    # every state that concrete firewall-6F to depth 8 expands.
     samples = [make(rng) for make in (random_graph, twin_rich) for _ in range(300)]
     for g in samples[::2]:
         g.colours
@@ -501,22 +502,21 @@ def test_twins_from_the_colouring_match_the_oracle_that_reads_none(rng, monkeypa
     read, expanded = explore_module.twins, []
 
     def checked_twins(g):
-        kept = "colours" in vars(g)
         classes = read(g)
-        expanded.append((kept, partition(classes) == partition(reference_twins(g)),
+        expanded.append((partition(classes) == partition(reference_twins(g)),
                          len(set(g.colours.values())) < len(g.labels)))
         return classes
 
     monkeypatch.setattr(explore_module, "twins", checked_twins)
     explore(load_bundled("firewall-6F"), ExploreConfig(engine="concrete", max_depth=8))
     assert len(expanded) == 396
-    assert all(kept and same for kept, same, _ in expanded)
+    assert all(same for same, _ in expanded)
     uncached = shared = 0
     for g in samples:
         uncached += "colours" not in vars(g)
         assert partition(graphs.twins(g)) == partition(reference_twins(g))
         shared += len(set(g.colours.values())) < len(g.labels)
-    shared += sum(twinned for _, _, twinned in expanded)
+    shared += sum(twinned for _, twinned in expanded)
     assert uncached == 300 and shared >= 450
 
 
@@ -542,8 +542,8 @@ def test_certificate_exact_on_twin_rich_graphs(rng, monkeypatch):
         same = certificate(g) == certificate(h)
         assert same == (brute_force_isomorphism(g, h) is not None)
         equal += same
+        branched += len(calls) > 2   # beyond the two stable colourings, before g.colours adds one
         twins += len(set(g.colours.values())) < len(g.nodes)
-        branched += len(calls) > 2   # beyond the two stable colourings
     assert equal >= 300 and twins >= 450 and branched >= 25
 
 
