@@ -248,8 +248,8 @@ class _Store:
     it marks no state.  With subsumption on, ``buckets`` hold the unmarked
     states by their bucket key (``engine.bucket``, memoised by the shape's
     graph), each bucket an antichain: a ``Frame``, made with the bucket,
-    and its members, id -> coordinates.  The scan compares coordinates,
-    with no isomorphism search.  The store is the one writer of
+    and its members, id -> packed coordinates (one int).  The scan tests
+    bits, with no isomorphism search.  The store is the one writer of
     ``ts.states`` and ``ts.marked``: it numbers fresh states from 0 and
     marks, in reachability mode drops, the states a newcomer subsumes."""
 

@@ -29,10 +29,12 @@ class Multiplicity:
     equality and hashing are by identity.  A value is immutable, and
     ``copy`` and ``pickle`` return the interned object.  Ordered
     lexicographically by ``(lo, hi)``; this is an arbitrary total order
-    used for canonical sorting, not the subsumption order.
+    used for canonical sorting (``rank`` is the place in it), not the
+    subsumption order: ``bits`` has bit c set when the interval meets class
+    c of 0, 1 and 2+, so ``mu`` lies below ``nu`` iff ``not mu.bits & ~nu.bits``.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "rank", "bits")
 
     def __new__(cls, lo, hi):
         mu = _VALUES.get((lo, hi))
@@ -84,6 +86,10 @@ ONE_PLUS = _value(1, OMEGA)
 TWO_PLUS = _value(2, OMEGA)
 
 BOUNDED = (ZERO, ZERO_ONE, ZERO_PLUS, ONE, ONE_PLUS, TWO_PLUS)
+
+for _rank, _mu in enumerate(BOUNDED):
+    object.__setattr__(_mu, "rank", _rank)
+    object.__setattr__(_mu, "bits", sum(1 << c for c in range(3) if _mu.lo <= c <= _mu.hi))
 
 _VALUES = {(mu.lo, mu.hi): mu for mu in BOUNDED}
 

@@ -14,10 +14,13 @@ isomorphism search take the shape itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .graphs import Graph, Labelled, _texts, isomorphisms
 from . import multiplicity as mult
 from .multiplicity import approx_card, subsumes
+
+_bits = attrgetter("bits")   # a multiplicity's byte in a packed vector
 
 
 class ShapeError(ValueError):
@@ -113,10 +116,10 @@ def _rows(s: Shape) -> dict:
 def _sign(ls, row) -> tuple:
     """A node's signature, which names no node id: its label set's texts,
     then its out- and its in-slots, each sorted as ``(label text, key
-    texts, multiplicity, direction, label, key)``."""
+    texts, multiplicity rank, multiplicity, direction, label, key)``."""
     outs, ins = [], []
     for (_, d, l, key), mu in row:
-        (outs if d == "out" else ins).append((l.text, _texts(key), mu, d, l, key))
+        (outs if d == "out" else ins).append((l.text, _texts(key), mu.rank, mu, d, l, key))
     return _texts(ls), tuple(sorted(outs)), tuple(sorted(ins))
 
 
@@ -161,7 +164,7 @@ def normalise(s: Shape, signed: dict | None = None) -> Shape:
             slots.update(row)
             continue
         for part in sig[1:]:
-            for _, _, mu, d, l, key in part:
+            for _, _, _, mu, d, l, key in part:
                 slots[i, d, l, key] = mu
     edges = frozenset([(new_id[v], l, new_id[w]) for v, l, w in s.edges])
     return Shape.stored(labels, edges, tuple(slots), (*node_mult.values(), *slots.values()))
@@ -216,10 +219,11 @@ def canonical_order(s: Shape, labelling: dict) -> tuple:
 
 class Frame:
     """Canonical coordinates of the shapes over one graph (up to
-    isomorphism): ``mults`` in its graph's ``canonical_order``.  ``perms``
-    holds the graph's other automorphisms, found once by ``isomorphisms``,
-    as index permutations.  A shape is below another exactly when, under
-    some automorphism, every entry is below the other's."""
+    isomorphism): ``mults`` in its graph's ``canonical_order``, one byte of
+    ``Multiplicity.bits`` each, packed into an int.  ``perms`` holds the
+    graph's other automorphisms, found once by ``isomorphisms``, as index
+    permutations.  A shape is below another exactly when, under some
+    automorphism, every byte's bits lie among the other's."""
 
     def __init__(self, s: Shape, order: tuple):
         place = {j: i for i, j in enumerate(order)}   # position in mults -> coordinate
@@ -231,15 +235,15 @@ class Frame:
                 self.perms.append(tuple(place[image[j]] for j in order))
 
     def orbit(self, s: Shape, order: tuple) -> list:
-        """``s``'s coordinates, then their images under ``perms``."""
-        vec = tuple(map(s.mults.__getitem__, order))
-        return [vec, *(tuple(map(vec.__getitem__, a)) for a in self.perms)]
+        """``s``'s packed coordinates, then their images under ``perms``."""
+        vec = bytes(map(_bits, map(s.mults.__getitem__, order)))
+        return [int.from_bytes(x, "little")
+                for x in (vec, *(bytes(map(vec.__getitem__, a)) for a in self.perms))]
 
     @staticmethod
-    def compare(orbit: list, old: tuple):
+    def compare(orbit: list, old: int):
         """``(new below old, old below new)``, given the orbit of new."""
-        return (any(all(map(subsumes, old, x)) for x in orbit),
-                any(all(map(subsumes, x, old)) for x in orbit))
+        return any(not x & ~old for x in orbit), any(not old & ~x for x in orbit)
 
 
 def covered(g: Graph, states) -> bool:

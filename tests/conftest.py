@@ -22,7 +22,7 @@ import pytest
 from shapespace import (ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
                         Graph, GraphError, Label, Shape, ShapeError, add, binary,
                         canonical, compare_shapes, explore, graph, parse_grammar, unary)
-from shapespace.graphs import _near, _twin_key, morphisms
+from shapespace.graphs import morphisms
 from shapespace.multiplicity import _TEXT
 from shapespace.rules import concrete_apply, concrete_matches
 from shapespace.shapes import _concrete, edge_slots, neighbour_index, signatures
@@ -409,11 +409,16 @@ def reference_refine(colour: dict, near: dict) -> dict:
 
 
 def reference_twins(g) -> dict:
-    """Twin classes by their definition, with no colouring: node ->
-    number of its class, nodes of one class having the same label set
-    and the same labelled neighbours (``graphs._twin_key``)."""
-    classes, near = {}, _near(g)[1]
-    return {v: classes.setdefault((g.labels[v], _twin_key(v, near)), len(classes))
+    """Twin classes by their definition, read off ``g.edges`` with no
+    colouring: node -> number of its class, nodes of one class having the
+    same label set and the same set of ``(label text, direction, other
+    end)`` triples, where a self-loop's other end is the marker "self"."""
+    near = {v: set() for v in g.labels}
+    for v, l, w in g.edges:
+        near[v].add((l.text, "out", "self" if w == v else w))
+        near[w].add((l.text, "in", "self" if w == v else v))
+    classes = {}
+    return {v: classes.setdefault((g.labels[v], frozenset(near[v])), len(classes))
             for v in g.labels}
 
 

@@ -914,6 +914,28 @@ def test_abstract_engine_certifies_and_prematches_each_graph_once(monkeypatch):
                       "prematch": 200}
 
 
+def test_bucket_members_are_packed_ints(monkeypatch):
+    # firewall-4, dfs, subsumption on: each of the 135 unmarked stored
+    # states is one bucket member, kept as one int, the first entry of its
+    # orbit in its bucket's frame, and not as a second multiplicity tuple
+    explore_module = importlib.import_module("shapespace.explore")
+    stores, init = [], explore_module._Store.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        stores.append(self)
+
+    monkeypatch.setattr(explore_module._Store, "__init__", recording_init)
+    ts, stats = run(load_bundled("firewall-4"), strategy="dfs", subsumption=True)
+    members = {i: (frame, packed) for frame, ms in stores[0].buckets.values()
+               for i, packed in ms.items()}
+    assert members.keys() == ts.states.keys() - ts.marked and stats.relevant == 135
+    for i, (frame, packed) in members.items():
+        s = ts.states[i]
+        assert type(packed) is int
+        assert packed == frame.orbit(s, canonical_order(s, canonical(s)[1]))[0]
+
+
 def stores_what_it_is_given(grammar, **config):
     """In an abstract run of ``grammar``, every stored state ends the run
     with the four fields, in order, of the shape handed to the store:

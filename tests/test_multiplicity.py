@@ -192,3 +192,31 @@ def test_operations_monotone_in_subsumption():
             assert subsumes(add(nu, pi), add(mu, pi))
             if mu.hi >= 1 and nu.hi >= 1:
                 assert subsumes(subtract_one(nu), subtract_one(mu))
+
+
+# --- rank and bits --------------------------------------------------------
+
+
+def test_bit_set_inclusion_is_interval_inclusion():
+    # all 36 ordered pairs; the intervals are compared from lo and hi
+    for mu, nu in itertools.product(BOUNDED, repeat=2):
+        assert (not mu.bits & ~nu.bits) == (nu.lo <= mu.lo and mu.hi <= nu.hi)
+    assert {mu.text(): mu.bits for mu in BOUNDED} == {
+        "0": 0b001, "0..1": 0b011, "0+": 0b111, "1": 0b010, "1+": 0b110, "2+": 0b100}
+
+
+def test_rank_order_is_lo_hi_order(rng):
+    assert [mu.rank for mu in BOUNDED] == list(range(6))
+    for mu, nu in itertools.product(BOUNDED, repeat=2):
+        assert (mu.rank < nu.rank) == ((mu.lo, mu.hi) < (nu.lo, nu.hi))
+    for _ in range(50):
+        values = rng.choices(BOUNDED, k=rng.randint(1, 12))
+        assert (sorted(values, key=lambda mu: mu.rank)
+                == sorted(values, key=lambda mu: (mu.lo, mu.hi)))
+
+
+def test_rank_and_bits_are_immutable():
+    for name in ("rank", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(ONE, name, 0)
+    assert (pickle.loads(pickle.dumps(ZERO_ONE)).bits, copy.copy(ONE).rank) == (0b011, 3)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from shapespace import (BOUNDED, ONE, ONE_PLUS, TWO_PLUS, ZERO, ExploreConfig,
-                        Graph, Shape, ShapeError, abstract, binary,
+                        Graph, Multiplicity, Shape, ShapeError, abstract, binary,
                         bundled_grammar_names, canonical, certificate,
                         compare_shapes, covered, explore, graph, isomorphisms,
                         load_bundled, normalise, parse_grammar, subsumes, unary)
@@ -280,6 +280,33 @@ def test_coordinate_subsumption_agrees_with_compare_shapes(rng):
     assert symmetric >= 40
 
 
+def test_packed_inclusion_is_coordinatewise_subsumption(rng):
+    # Nodes of distinct label sets and no edges: the frame has no other
+    # automorphism, so the orbit is the one packed vector, and the
+    # coordinate loop over ``subsumes`` is the reference.  Up to 40
+    # coordinates, so a vector outgrows a machine word.
+    hits = [0, 0]
+    for _ in range(600):
+        k = rng.choice([1, 2, 3, 5, 8, 40])
+        labels = {v: frozenset({unary(f"U{v}")}) for v in range(k)}
+        s, t = (Shape.stored(labels, frozenset(), (), tuple(rng.choices(BOUNDED, k=k)))
+                for _ in range(2))
+        if rng.random() < 0.5:   # t above s in most coordinates
+            t = Shape.stored(labels, frozenset(), (), tuple(
+                rng.choice([nu for nu in BOUNDED if subsumes(nu, mu)]) if rng.random() < 0.9
+                else nu for mu, nu in zip(s.mults, t.mults)))
+        order = canonical_order(s, canonical(s)[1])
+        frame = Frame(s, order)
+        assert frame.perms == []
+        old = frame.orbit(t, order)
+        assert len(old) == 1
+        got = frame.compare(frame.orbit(s, order), old[0])
+        below = all(map(subsumes, t.mults, s.mults))
+        assert got == (below, all(map(subsumes, s.mults, t.mults)))
+        hits[below] += 1
+    assert min(hits) >= 100
+
+
 # --- certificates and covering -------------------------------------------
 
 
@@ -295,6 +322,18 @@ def test_mutually_subsumable_shapes_share_certificates(rng):
 
 
 # --- normal shapes --------------------------------------------------------
+
+
+def test_normal_forms_sort_by_rank_not_by_multiplicity(monkeypatch):
+    # slot entries carry the value's rank before the value, so sorting
+    # signatures never compares two multiplicities
+    def refused(mu, nu):
+        raise AssertionError("Multiplicity.__lt__ called")
+
+    monkeypatch.setattr(Multiplicity, "__lt__", refused)
+    _, stats = explore(load_bundled("firewall-4"),
+                       ExploreConfig(strategy="dfs", subsumption=True))
+    assert (stats.generated, stats.subsumed) == (267, 132)
 
 
 def test_normal_shapes_are_canonical(rng):
